@@ -208,14 +208,20 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
         sweep.threads,
         sweep.wall.as_secs_f64()
     );
+    let labels: Vec<String> = sweep
+        .cells
+        .iter()
+        .map(|c| c.cell.label(spec.ablation))
+        .collect();
+    let w = label_width("cell", &labels);
     println!(
-        "{:<24} {:>6} {:>10} {:>14} {:>11} {:>14}",
+        "{:<w$} {:>6} {:>10} {:>14} {:>11} {:>14}",
         "cell", "seed", "wall (ms)", "energy (MJ)", "violations", "mean servers"
     );
-    for cell in &sweep.cells {
+    for (cell, label) in sweep.cells.iter().zip(&labels) {
         println!(
-            "{:<24} {:>6} {:>10.0} {:>14.1} {:>11} {:>14.1}",
-            cell.cell.label(spec.ablation),
+            "{:<w$} {:>6} {:>10.0} {:>14.1} {:>11} {:>14.1}",
+            label,
             cell.cell.fleet.seed,
             cell.wall.as_secs_f64() * 1e3,
             cell.outcome.total_energy().as_megajoules(),
@@ -228,14 +234,17 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
             "\nseed-averaged over {} fleets (mean±std):",
             spec.fleets.len()
         );
+        let groups = sweep.seed_groups();
+        let labels: Vec<String> = groups.iter().map(|g| g.label(spec.ablation)).collect();
+        let w = label_width("group", &labels);
         println!(
-            "{:<24} {:>5} {:>16} {:>14} {:>16}",
+            "{:<w$} {:>5} {:>16} {:>14} {:>16}",
             "group", "runs", "energy (MJ)", "violations", "mean servers"
         );
-        for g in sweep.seed_groups() {
+        for (g, label) in groups.iter().zip(&labels) {
             println!(
-                "{:<24} {:>5} {:>16} {:>14} {:>16}",
-                g.label(spec.ablation),
+                "{:<w$} {:>5} {:>16} {:>14} {:>16}",
+                label,
                 g.runs,
                 g.energy_mj.to_string(),
                 g.violations.to_string(),
@@ -264,13 +273,15 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
             sweep.failed().len(),
             sweep.total_cells()
         );
+        let labels: Vec<&str> = sweep.failed().iter().map(|f| f.label.as_str()).collect();
+        let w = label_width("label", &labels);
         println!(
-            "{:<5} {:<24} {:>6} {:>9} {:>8}  error",
+            "{:<5} {:<w$} {:>6} {:>9} {:>8}  error",
             "cell", "label", "seed", "stage", "kind"
         );
         for f in sweep.failed() {
             println!(
-                "{:<5} {:<24} {:>6} {:>9} {:>8}  {}",
+                "{:<5} {:<w$} {:>6} {:>9} {:>8}  {}",
                 f.index,
                 f.label,
                 f.cell.fleet.seed,
@@ -281,6 +292,15 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
         }
     }
     fail_summary(&sweep)
+}
+
+/// Width of a table's label column: the longest of its header and
+/// labels, in characters.
+fn label_width(header: &str, labels: &[impl AsRef<str>]) -> usize {
+    labels
+        .iter()
+        .map(|l| l.as_ref().chars().count())
+        .fold(header.chars().count(), usize::max)
 }
 
 /// `Ok` for a complete sweep, `Err` (→ non-zero process exit) when any

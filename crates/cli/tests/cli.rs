@@ -165,3 +165,43 @@ fn legacy_single_fleet_spec_file_still_runs() {
     assert!(out.contains("1 cells"), "{out}");
     assert!(out.contains("EPACT/NTC"), "{out}");
 }
+
+/// The label column is as wide as the longest label, so every row of
+/// the cell and seed-group tables lines up with its header even for
+/// labels longer than 24 characters.
+#[test]
+fn sweep_tables_fit_long_labels() {
+    let path = std::env::temp_dir().join("ntcdc_long_label_spec.json");
+    std::fs::write(
+        &path,
+        r#"{
+  "name": "long-labels",
+  "fleets": [
+    {"num_vms": 8, "seed": 1, "weeks": 2},
+    {"num_vms": 8, "seed": 2, "weeks": 2}
+  ],
+  "policies": ["epact"],
+  "servers": ["ntc"],
+  "qos_floors_mhz": [null, 1200],
+  "backends": ["analytic", "archsim"],
+  "max_servers": 100
+}"#,
+    )
+    .unwrap();
+    let (ok, out, err) = run(&["sweep", "--spec", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert!(ok, "{out}\n{err}");
+    assert!(out.contains("EPACT/NTC@1200MHz/archsim "), "{out}");
+    for header in ["cell ", "group "] {
+        let table: Vec<&str> = out
+            .lines()
+            .skip_while(|l| !l.starts_with(header))
+            .take_while(|l| !l.is_empty() && !l.starts_with("cell time"))
+            .collect();
+        assert!(table.len() > 1, "no {header}table:\n{out}");
+        let width = table[0].chars().count();
+        for row in &table {
+            assert_eq!(row.chars().count(), width, "misaligned row {row:?}:\n{out}");
+        }
+    }
+}

@@ -3,6 +3,9 @@ use ntc_units::Frequency;
 
 use crate::Error;
 
+/// Tombstone for a pool entry already placed on the open server.
+const PLACED: usize = usize::MAX;
+
 /// Algorithm 1 of the paper: the 1-D (CPU-only) correlation-aware
 /// first-fit-decreasing allocator used when CPU dominates.
 ///
@@ -14,6 +17,31 @@ use crate::Error;
 /// `max(Patt + Ũ) · Fmax ≤ Fopt` (i.e. the aggregated load must stay
 /// below `Fopt/Fmax` of capacity). When no VM fits, the next server is
 /// opened.
+///
+/// # Exact pruning
+///
+/// The candidate scan skips work it can prove changes nothing. Let
+/// `limit = cap + 1e-9` (the feasibility test is
+/// `peak_of_sum(Patt, Ũ) > limit`), `P`/`F` the pattern's peak and
+/// floor and `p` a candidate's peak, all read once per scan. Float
+/// addition rounds monotonically (`a ≤ a'` and `b ≤ b'` give
+/// `fl(a + b) ≤ fl(a' + b')`), which yields two proofs:
+///
+/// * **feasible without the O(L) pass** when `P + p ≤ limit`: every
+///   sample sum is `fl(Patt[t] + Ũ[t]) ≤ fl(P + p) ≤ limit`;
+/// * **infeasible without looking** when `p > 0` and `F + p > limit`:
+///   `p > 0` is attained at some sample `t*`, and
+///   `fl(Patt[t*] + p) ≥ fl(F + p) > limit`.
+///
+/// The pool is sorted by descending peak, so the infeasible candidates
+/// of the second proof form a prefix of it, found by binary search.
+/// A VM admitted to the open server is tombstoned in place rather than
+/// removed, and the tombstones are swept out in one order-preserving
+/// pass when the next server opens, so the relative order of the
+/// unplaced VMs never changes. The scan therefore visits the same
+/// feasible candidates in the same order as the unpruned scan, and the
+/// strict `φ > best` comparison keeps the earliest of equal scores just
+/// as it does there. Assignments are identical bit for bit.
 ///
 /// # Examples
 ///
@@ -108,16 +136,19 @@ impl OneDimAllocator {
             predicted_cpu.len(),
             "cache must cover every VM"
         );
-        let cap = self.cap_cpu();
+        let limit = self.cap_cpu() + 1e-9;
 
-        // First-fit-decreasing pool: indices sorted by descending peak.
-        let mut pool: Vec<usize> = (0..predicted_cpu.len()).collect();
-        pool.sort_by(|&a, &b| {
-            predicted_cpu[b]
-                .peak()
-                .partial_cmp(&predicted_cpu[a].peak())
-                .expect("finite utilizations")
-        });
+        // First-fit-decreasing pool of `(peak, vm)`, sorted by
+        // descending peak. A VM placed on the open server is tombstoned
+        // in place (`vm = PLACED`); the pool is compacted when the next
+        // server opens, so the order never changes.
+        let mut pool: Vec<(f64, usize)> = predicted_cpu
+            .iter()
+            .map(TimeSeries::peak)
+            .zip(0..)
+            .collect();
+        pool.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite utilizations"));
+        let mut unplaced = pool.len();
 
         let mut assignment = vec![usize::MAX; predicted_cpu.len()];
         let mut server = 0usize;
@@ -129,40 +160,44 @@ impl OneDimAllocator {
         let mut stats = cache.pattern();
         let mut server_empty = true;
 
-        while !pool.is_empty() {
-            if server_empty {
+        while unplaced > 0 {
+            let pos = if server_empty {
                 // Line 4-6: first unallocated VM goes in unconditionally.
-                let vm = pool.remove(0);
-                pattern.add_in_place(&predicted_cpu[vm]);
-                stats.admit(cache, vm);
-                assignment[vm] = server;
-                server_empty = false;
-                continue;
-            }
-            // Lines 8-12: best VM by correlation with the server's
-            // complementary pattern, subject to the frequency cap.
-            let mut best: Option<(usize, f64)> = None;
-            for (pos, &vm) in pool.iter().enumerate() {
-                if pattern.peak_of_sum(&predicted_cpu[vm]) > cap + 1e-9 {
-                    continue;
+                Some(0)
+            } else {
+                // Lines 8-12: best VM by correlation with the server's
+                // complementary pattern, subject to the frequency cap.
+                let (peak, floor) = (pattern.peak(), pattern.floor());
+                let infeasible = pool.partition_point(|&(p, _)| p > 0.0 && floor + p > limit);
+                let mut best: Option<(usize, f64)> = None;
+                for (pos, &(p, vm)) in pool.iter().enumerate().skip(infeasible) {
+                    if vm == PLACED
+                        || (peak + p > limit && pattern.peak_of_sum(&predicted_cpu[vm]) > limit)
+                    {
+                        continue;
+                    }
+                    let phi = stats.complement_correlation(cache, vm);
+                    if best.is_none_or(|(_, b)| phi > b) {
+                        best = Some((pos, phi));
+                    }
                 }
-                let phi = stats.complement_correlation(cache, vm);
-                if best.is_none_or(|(_, b)| phi > b) {
-                    best = Some((pos, phi));
-                }
-            }
-            match best {
-                Some((pos, _)) => {
-                    let vm = pool.remove(pos);
+                best.map(|(pos, _)| pos)
+            };
+            match pos {
+                Some(pos) => {
+                    let vm = std::mem::replace(&mut pool[pos].1, PLACED);
+                    unplaced -= 1;
                     pattern.add_in_place(&predicted_cpu[vm]);
                     stats.admit(cache, vm);
                     assignment[vm] = server;
+                    server_empty = false;
                 }
                 None => {
                     // Line 14: open the next server.
                     server += 1;
                     pattern.reset_zeros(slot_len);
                     stats.reset();
+                    pool.retain(|&(_, vm)| vm != PLACED);
                     server_empty = true;
                 }
             }
@@ -174,6 +209,140 @@ impl OneDimAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ntc_trace::DayCache;
+    use proptest::prelude::*;
+
+    /// Algorithm 1 as the paper states it, with no pruning: every
+    /// candidate gets the O(L) feasibility pass and admitted VMs are
+    /// removed from the pool. The oracle the pruned scan must match.
+    fn naive_allocate(
+        alloc: &OneDimAllocator,
+        predicted_cpu: &[TimeSeries],
+        cache: &mut CorrelationCache<'_>,
+    ) -> Vec<usize> {
+        let cap = alloc.cap_cpu();
+        let slot_len = predicted_cpu[0].len();
+        let mut pool: Vec<usize> = (0..predicted_cpu.len()).collect();
+        pool.sort_by(|&a, &b| {
+            predicted_cpu[b]
+                .peak()
+                .partial_cmp(&predicted_cpu[a].peak())
+                .expect("finite utilizations")
+        });
+        let mut assignment = vec![usize::MAX; predicted_cpu.len()];
+        let mut server = 0usize;
+        let mut pattern = TimeSeries::zeros(slot_len);
+        let mut stats = cache.pattern();
+        let mut server_empty = true;
+        while !pool.is_empty() {
+            let pos = if server_empty {
+                Some(0)
+            } else {
+                let mut best: Option<(usize, f64)> = None;
+                for (pos, &vm) in pool.iter().enumerate() {
+                    if pattern.peak_of_sum(&predicted_cpu[vm]) > cap + 1e-9 {
+                        continue;
+                    }
+                    let phi = stats.complement_correlation(cache, vm);
+                    if best.is_none_or(|(_, b)| phi > b) {
+                        best = Some((pos, phi));
+                    }
+                }
+                best.map(|(pos, _)| pos)
+            };
+            match pos {
+                Some(pos) => {
+                    let vm = pool.remove(pos);
+                    pattern.add_in_place(&predicted_cpu[vm]);
+                    stats.admit(cache, vm);
+                    assignment[vm] = server;
+                    server_empty = false;
+                }
+                None => {
+                    server += 1;
+                    pattern.reset_zeros(slot_len);
+                    stats.reset();
+                    server_empty = true;
+                }
+            }
+        }
+        assignment
+    }
+
+    /// Samples per slot and slots per day of the equivalence fixtures.
+    const SLOT: usize = 6;
+    const SLOTS: usize = 3;
+
+    /// A day of VM series mixing the shapes the pruning proofs must get
+    /// right: wiggly loads, loads above the cap, constant series (σ = 0),
+    /// all-zero series (peak 0), series dipping below zero (whose clamped
+    /// peak 0 is not attained), and exact duplicates of the previous VM
+    /// (φ ties).
+    fn day_fleet() -> impl Strategy<Value = Vec<TimeSeries>> {
+        prop::collection::vec(
+            (
+                0usize..7,
+                0.0f64..95.0,
+                prop::collection::vec(0.0f64..40.0, SLOT * SLOTS),
+            ),
+            1..28,
+        )
+        .prop_map(|vms| {
+            let mut out: Vec<TimeSeries> = Vec::with_capacity(vms.len());
+            for (kind, level, wiggle) in vms {
+                let series = match (kind, out.last()) {
+                    (0, _) => TimeSeries::constant(SLOT * SLOTS, level),
+                    (1, _) => TimeSeries::zeros(SLOT * SLOTS),
+                    (2, Some(prev)) => prev.clone(),
+                    (3, _) => {
+                        TimeSeries::from_values(wiggle.iter().map(|w| level * 0.6 + w).collect())
+                    }
+                    (4, _) => {
+                        TimeSeries::from_values(wiggle.iter().map(|w| w - level * 0.6).collect())
+                    }
+                    _ => TimeSeries::from_values(wiggle),
+                };
+                out.push(series);
+            }
+            out
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn pruned_scan_matches_naive_algorithm_1(
+            day in day_fleet(),
+            fopt_ghz in 0.6f64..3.1,
+            slot in 0usize..SLOTS,
+        ) {
+            let alloc = OneDimAllocator::new(ghz(fopt_ghz), ghz(3.1));
+            let window = slot * SLOT..(slot + 1) * SLOT;
+            let cpu: Vec<TimeSeries> = day.iter().map(|s| s.window(window.clone())).collect();
+
+            // An owned cache per slot.
+            let pruned = alloc.allocate(&cpu);
+            let naive = naive_allocate(&alloc, &cpu, &mut CorrelationCache::new(&cpu));
+            prop_assert_eq!(&pruned, &naive, "owned cache");
+
+            // A one-block window of a day cache, and the whole day as a
+            // multi-block window.
+            let cache = DayCache::with_block_size(&day, SLOT);
+            for (series, window) in [(&cpu, window), (&day, 0..SLOT * SLOTS)] {
+                let pruned = alloc.allocate_with_cache(
+                    series,
+                    &mut CorrelationCache::from_day_window(&cache, window.clone()),
+                );
+                let naive = naive_allocate(
+                    &alloc,
+                    series,
+                    &mut CorrelationCache::from_day_window(&cache, window.clone()),
+                );
+                prop_assert_eq!(&pruned, &naive, "day window {:?}", window);
+            }
+        }
+    }
 
     fn ghz(g: f64) -> Frequency {
         Frequency::from_ghz(g)

@@ -231,6 +231,10 @@ impl TwoDimAllocator {
 
         let mut srv_cpu = vec![TimeSeries::zeros(slot_len); self.num_servers];
         let mut srv_mem = vec![TimeSeries::zeros(slot_len); self.num_servers];
+        // Running per-server peaks: when `server peak + VM peak ≤ cap +
+        // 1e-9` no sample sum can exceed the cap (float addition rounds
+        // monotonically), so the O(len) per-sample check is skipped.
+        let mut srv_peaks = vec![(0.0, 0.0); self.num_servers];
         let mut assignment = vec![usize::MAX; cpu.len()];
 
         // Memoized Pearson terms shared by every candidate scan of the
@@ -241,10 +245,12 @@ impl TwoDimAllocator {
 
         // Visit VMs in decreasing combined-footprint order so large VMs
         // see the emptiest servers (the 1-D FFD rationale, extended).
+        let cpu_peaks: Vec<f64> = cpu.iter().map(TimeSeries::peak).collect();
+        let mem_peaks: Vec<f64> = mem.iter().map(TimeSeries::peak).collect();
         let mut order: Vec<usize> = (0..cpu.len()).collect();
         order.sort_by(|&a, &b| {
-            let fa = cpu[a].peak() / self.cap_cpu + mem[a].peak() / self.cap_mem;
-            let fb = cpu[b].peak() / self.cap_cpu + mem[b].peak() / self.cap_mem;
+            let fa = cpu_peaks[a] / self.cap_cpu + mem_peaks[a] / self.cap_mem;
+            let fb = cpu_peaks[b] / self.cap_cpu + mem_peaks[b] / self.cap_mem;
             fb.partial_cmp(&fa).expect("finite utilizations")
         });
 
@@ -253,8 +259,11 @@ impl TwoDimAllocator {
             for j in 0..srv_cpu.len() {
                 // Line 3: per-sample feasibility on both dimensions,
                 // without materializing the candidate sums.
-                if srv_cpu[j].sum_exceeds(&cpu[vm], self.cap_cpu, 1e-9)
-                    || srv_mem[j].sum_exceeds(&mem[vm], self.cap_mem, 1e-9)
+                let (peak_cpu, peak_mem) = srv_peaks[j];
+                if (peak_cpu + cpu_peaks[vm] > self.cap_cpu + 1e-9
+                    && srv_cpu[j].sum_exceeds(&cpu[vm], self.cap_cpu, 1e-9))
+                    || (peak_mem + mem_peaks[vm] > self.cap_mem + 1e-9
+                        && srv_mem[j].sum_exceeds(&mem[vm], self.cap_mem, 1e-9))
                 {
                     continue;
                 }
@@ -279,6 +288,7 @@ impl TwoDimAllocator {
                     // Overflow server (misprediction headroom): open one.
                     srv_cpu.push(TimeSeries::zeros(slot_len));
                     srv_mem.push(TimeSeries::zeros(slot_len));
+                    srv_peaks.push((0.0, 0.0));
                     stats_cpu.push(cache_cpu.pattern());
                     stats_mem.push(cache_mem.pattern());
                     srv_cpu.len() - 1
@@ -286,6 +296,7 @@ impl TwoDimAllocator {
             };
             srv_cpu[j].add_in_place(&cpu[vm]);
             srv_mem[j].add_in_place(&mem[vm]);
+            srv_peaks[j] = (srv_cpu[j].peak(), srv_mem[j].peak());
             stats_cpu[j].admit(cache_cpu, vm);
             stats_mem[j].admit(cache_mem, vm);
             assignment[vm] = j;
@@ -297,6 +308,124 @@ impl TwoDimAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Algorithm 2 with the per-sample cap check on every candidate
+    /// server and no peak proof — the oracle the pruned scan must
+    /// match.
+    fn unpruned_allocate(
+        alloc: &TwoDimAllocator,
+        cpu: &[TimeSeries],
+        mem: &[TimeSeries],
+    ) -> Vec<usize> {
+        let (cache_cpu, cache_mem) = (
+            &mut CorrelationCache::new(cpu),
+            &mut CorrelationCache::new(mem),
+        );
+        let slot_len = cpu[0].len();
+        let mut srv_cpu = vec![TimeSeries::zeros(slot_len); alloc.num_servers];
+        let mut srv_mem = vec![TimeSeries::zeros(slot_len); alloc.num_servers];
+        let mut stats_cpu: Vec<_> = (0..alloc.num_servers)
+            .map(|_| cache_cpu.pattern())
+            .collect();
+        let mut stats_mem: Vec<_> = (0..alloc.num_servers)
+            .map(|_| cache_mem.pattern())
+            .collect();
+        let mut assignment = vec![usize::MAX; cpu.len()];
+        let mut order: Vec<usize> = (0..cpu.len()).collect();
+        order.sort_by(|&a, &b| {
+            let fa = cpu[a].peak() / alloc.cap_cpu + mem[a].peak() / alloc.cap_mem;
+            let fb = cpu[b].peak() / alloc.cap_cpu + mem[b].peak() / alloc.cap_mem;
+            fb.partial_cmp(&fa).expect("finite utilizations")
+        });
+        for vm in order {
+            let mut best: Option<(usize, f64)> = None;
+            for j in 0..srv_cpu.len() {
+                if srv_cpu[j].sum_exceeds(&cpu[vm], alloc.cap_cpu, 1e-9)
+                    || srv_mem[j].sum_exceeds(&mem[vm], alloc.cap_mem, 1e-9)
+                {
+                    continue;
+                }
+                let phi_cpu = stats_cpu[j].complement_correlation(cache_cpu, vm);
+                let phi_mem = stats_mem[j].complement_correlation(cache_mem, vm);
+                let m = if alloc.use_distance {
+                    let dist_cpu = srv_cpu[j].headroom_distance(alloc.cap_cpu, &cpu[vm]) + EPS;
+                    let dist_mem = srv_mem[j].headroom_distance(alloc.cap_mem, &mem[vm]) + EPS;
+                    alloc.weight_cpu() * phi_cpu / dist_cpu
+                        + alloc.weight_mem() * phi_mem / dist_mem
+                } else {
+                    alloc.weight_cpu() * phi_cpu + alloc.weight_mem() * phi_mem
+                };
+                if best.is_none_or(|(_, bm)| m > bm) {
+                    best = Some((j, m));
+                }
+            }
+            let j = best.map_or_else(
+                || {
+                    srv_cpu.push(TimeSeries::zeros(slot_len));
+                    srv_mem.push(TimeSeries::zeros(slot_len));
+                    stats_cpu.push(cache_cpu.pattern());
+                    stats_mem.push(cache_mem.pattern());
+                    srv_cpu.len() - 1
+                },
+                |(j, _)| j,
+            );
+            srv_cpu[j].add_in_place(&cpu[vm]);
+            srv_mem[j].add_in_place(&mem[vm]);
+            stats_cpu[j].admit(cache_cpu, vm);
+            stats_mem[j].admit(cache_mem, vm);
+            assignment[vm] = j;
+        }
+        assignment
+    }
+
+    /// Deterministic memory-dominated fleets: wiggly CPU and memory
+    /// with constant and duplicated VMs mixed in, sized so the planned
+    /// servers overflow and both the peak proof and the per-sample
+    /// check decide some candidates.
+    fn memory_heavy_fleet(n: usize, len: usize, seed: usize) -> (Vec<TimeSeries>, Vec<TimeSeries>) {
+        let wiggle = |i: usize, t: usize, k: usize| ((i * 7 + t * 13 + seed * k) % 17) as f64;
+        let (mut cpu, mut mem): (Vec<TimeSeries>, Vec<TimeSeries>) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let (c, m) = match i % 5 {
+                0 => (
+                    TimeSeries::constant(len, 12.0),
+                    TimeSeries::constant(len, 30.0),
+                ),
+                1 if i > 0 => (cpu[i - 1].clone(), mem[i - 1].clone()),
+                _ => (
+                    TimeSeries::from_values(
+                        (0..len).map(|t| 2.0 + 1.5 * wiggle(i, t, 3)).collect(),
+                    ),
+                    TimeSeries::from_values(
+                        (0..len).map(|t| 8.0 + 2.5 * wiggle(i, t, 5)).collect(),
+                    ),
+                ),
+            };
+            cpu.push(c);
+            mem.push(m);
+        }
+        (cpu, mem)
+    }
+
+    #[test]
+    fn peak_proof_keeps_assignments() {
+        for seed in 0..8 {
+            let (cpu, mem) = memory_heavy_fleet(40, 12, seed);
+            for alloc in [
+                TwoDimAllocator::new(61.3, 100.0, 6),
+                TwoDimAllocator::new(35.0, 80.0, 3),
+                TwoDimAllocator::builder(61.3, 100.0, 6)
+                    .correlation_only()
+                    .build_or_panic(),
+            ] {
+                assert_eq!(
+                    alloc.allocate(&cpu, &mem),
+                    unpruned_allocate(&alloc, &cpu, &mem),
+                    "seed {seed}, {alloc:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn weights_sum_to_one() {

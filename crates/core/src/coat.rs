@@ -13,6 +13,13 @@ use crate::{AllocationPolicy, SlotContext, SlotPlan};
 ///
 /// `cache` holds the memoized Pearson terms over `cpu` — built from the
 /// slot context so a day-level cache is reused when one is attached.
+///
+/// Each server keeps a running peak per resource, so the per-sample cap
+/// check is skipped when `server peak + VM peak ≤ cap + 1e-9` proves it
+/// passes: float addition rounds monotonically, so no sample sum can
+/// exceed the sum of the peaks (the proof of
+/// [`OneDimAllocator`](crate::OneDimAllocator)). Assignments are
+/// unchanged.
 fn consolidate(
     cpu: &[TimeSeries],
     mem: &[TimeSeries],
@@ -21,16 +28,18 @@ fn consolidate(
     mut cache: CorrelationCache<'_>,
 ) -> Vec<usize> {
     let slot_len = cpu[0].len();
+    let cpu_peaks: Vec<f64> = cpu.iter().map(TimeSeries::peak).collect();
+    let mem_peaks: Vec<f64> = mem.iter().map(TimeSeries::peak).collect();
     let mut order: Vec<usize> = (0..cpu.len()).collect();
     order.sort_by(|&a, &b| {
-        cpu[b]
-            .peak()
-            .partial_cmp(&cpu[a].peak())
+        cpu_peaks[b]
+            .partial_cmp(&cpu_peaks[a])
             .expect("finite utilizations")
     });
 
     let mut srv_cpu: Vec<TimeSeries> = Vec::new();
     let mut srv_mem: Vec<TimeSeries> = Vec::new();
+    let mut srv_peaks: Vec<(f64, f64)> = Vec::new();
     let mut stats: Vec<PatternStats> = Vec::new();
     let mut assignment = vec![usize::MAX; cpu.len()];
     for vm in order {
@@ -38,9 +47,13 @@ fn consolidate(
         // complementary (least correlated) load.
         let mut best: Option<(usize, f64)> = None;
         for j in 0..srv_cpu.len() {
-            // Short-circuit: a CPU-infeasible server skips the memory scan.
-            if srv_cpu[j].sum_exceeds(&cpu[vm], cap_cpu, 1e-9)
-                || srv_mem[j].sum_exceeds(&mem[vm], cap_mem, 1e-9)
+            // Short-circuit: a CPU-infeasible server skips the memory
+            // scan, and a peak proof skips either scan.
+            let (peak_cpu, peak_mem) = srv_peaks[j];
+            if (peak_cpu + cpu_peaks[vm] > cap_cpu + 1e-9
+                && srv_cpu[j].sum_exceeds(&cpu[vm], cap_cpu, 1e-9))
+                || (peak_mem + mem_peaks[vm] > cap_mem + 1e-9
+                    && srv_mem[j].sum_exceeds(&mem[vm], cap_mem, 1e-9))
             {
                 continue;
             }
@@ -54,12 +67,14 @@ fn consolidate(
             None => {
                 srv_cpu.push(TimeSeries::zeros(slot_len));
                 srv_mem.push(TimeSeries::zeros(slot_len));
+                srv_peaks.push((0.0, 0.0));
                 stats.push(cache.pattern());
                 srv_cpu.len() - 1
             }
         };
         srv_cpu[j].add_in_place(&cpu[vm]);
         srv_mem[j].add_in_place(&mem[vm]);
+        srv_peaks[j] = (srv_cpu[j].peak(), srv_mem[j].peak());
         stats[j].admit(&mut cache, vm);
         assignment[vm] = j;
     }

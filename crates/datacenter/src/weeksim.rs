@@ -464,7 +464,7 @@ impl<'a> WeekSim<'a> {
             let forecast = &state.forecast;
             let fleet = self.fleet;
             // Every plan window is aligned to the slot grid, so the
-            // caches keep slot-major block planes of pair products.
+            // caches answer it from one window plane of pair products.
             DayState::refresh(&mut state.moments, &mut state.moments_day, day, || {
                 match (forecast, predictor) {
                     (Some(fc), Some(_)) => (

@@ -86,6 +86,9 @@ const UNSET: f64 = f64::NAN;
 #[derive(Debug, Clone)]
 pub struct PatternStats {
     var: f64,
+    /// `σ(S) = √var(S)`, refreshed on every admit so a candidate scan
+    /// pays no square root per candidate.
+    std: f64,
     cov_with: Vec<f64>,
 }
 
@@ -287,6 +290,7 @@ impl<'d> CorrelationCache<'d> {
     pub fn pattern(&self) -> PatternStats {
         PatternStats {
             var: 0.0,
+            std: 0.0,
             cov_with: vec![0.0; self.num_series],
         }
     }
@@ -296,6 +300,7 @@ impl PatternStats {
     /// Clears the accumulator back to the empty pattern (a new server).
     pub fn reset(&mut self) {
         self.var = 0.0;
+        self.std = 0.0;
         self.cov_with.fill(0.0);
     }
 
@@ -305,6 +310,7 @@ impl PatternStats {
         // Read cov(S, u) *before* the cov_with update below folds
         // cov(u, u) into it.
         self.var += cache.variance(u) + 2.0 * self.cov_with[u];
+        self.std = self.variance().sqrt();
         cache.accumulate_covariance_row(u, &mut self.cov_with);
     }
 
@@ -321,7 +327,7 @@ impl PatternStats {
     /// Degenerate σ (below `1e-12`) on either side yields 0, matching
     /// [`stats::pearson_correlation`] on the materialized complement.
     pub fn complement_correlation(&self, cache: &CorrelationCache<'_>, v: usize) -> f64 {
-        let std_s = self.variance().sqrt();
+        let std_s = self.std;
         let std_v = cache.std_dev(v);
         if std_s < 1e-12 || std_v < 1e-12 {
             return 0.0;

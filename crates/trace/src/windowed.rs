@@ -25,17 +25,33 @@
 //! (triangular storage, one row per unordered pair), so a day in which
 //! the allocator never compares VMs `i` and `j` never pays for them.
 //!
-//! # Block planes
+//! # Window planes
 //!
 //! The week simulation only ever asks for windows aligned to slot
 //! boundaries (each window starts and ends on a multiple of the
 //! samples-per-slot grid). [`DayCache::with_block_size`] exploits
-//! that: per-pair product sums are kept as *per-block* partial sums in
-//! slot-major planes — one contiguous `num_pairs`-wide plane per
-//! block — so a slot's admit loop streams through one compact plane
-//! (L1/L2-resident and reused by all re-plans of the day) instead of
-//! hopping across one 8·(len+1)-byte prefix row per pair. Unaligned
-//! windows transparently fall back to the full prefix rows.
+//! that: the pair product sums of an aligned window are computed
+//! wholesale into one contiguous triangular *window plane* —
+//! `num_pairs` wide, entry `hi·(hi+1)/2 + lo` — memoized for the last
+//! window asked. Every admit of a packing run over that window streams
+//! the one compact plane (L2-resident) instead of hopping across one
+//! 8·(len+1)-byte prefix row per pair, and the next window reuses the
+//! plane's allocation. Unaligned windows transparently fall back to
+//! the full prefix rows.
+//!
+//! A pair's aligned window sum is defined block by block: each block
+//! contributes a four-lane dot product — lanes started at `0.0` over
+//! the block's samples in chunks of four, combined
+//! `(l0 + l1) + (l2 + l3)`, then the leftover samples added in order —
+//! and the blocks are summed `0.0 + d[k0] + … + d[k1−1]` in block
+//! order. The fill computes exactly that, one block at a time: the
+//! block is transposed sample-major and each triangular row is computed
+//! across four `lo` pairs at once, so one register tile streams four
+//! contiguous values per sample against a broadcast of series `hi`.
+//! The tiling changes speed, never bits. The scalar
+//! [`DayCache::window_covariance_with_means`] reads the same plane as
+//! the bulk [`DayCache::accumulate_window_covariances`], so the two
+//! agree bit for bit.
 //!
 //! The uncentered forms trade a little precision for the O(1) window
 //! query: on near-constant windows the subtraction can cancel
@@ -87,7 +103,7 @@ impl std::error::Error for Error {}
 
 /// Lazily-filled prefix sums and pairwise product sums. Everything in
 /// here is built on first use: the simulation hot path only ever
-/// touches the block planes, so it never pays for the per-series
+/// touches the window plane, so it never pays for the per-series
 /// prefixes, and vice versa for the generic windowed-moment API.
 #[derive(Debug)]
 struct PairStore {
@@ -96,19 +112,17 @@ struct PairStore {
     /// `window_sum`/`window_mean`/`window_variance` query.
     prefix: Vec<f64>,
     sq_prefix: Vec<f64>,
-    /// Triangular pairwise product prefix rows, built lazily: entry
-    /// `hi·(hi+1)/2 + lo` (for `lo ≤ hi`) is empty until first use,
-    /// then a `len + 1` prefix row. Serves arbitrary windows.
+    /// Triangular pairwise product prefix rows, built lazily: the table
+    /// is empty until the first unaligned query, and entry
+    /// `hi·(hi+1)/2 + lo` (for `lo ≤ hi`) is empty until that pair's
+    /// first use, then a `len + 1` prefix row. Serves arbitrary
+    /// windows.
     rows: Vec<Vec<f64>>,
-    /// Slot-major block-sum planes, `blocks × num_pairs`: entry
-    /// `k·num_pairs + pair` is `Σ x·y` over block `k`. One plane is
-    /// contiguous across pairs, so a block-aligned window's admit loop
-    /// streams rather than gathers. Empty until the first aligned
-    /// query; the fill is wholesale — the consolidation policies
-    /// compare every pair anyway, and a plane-major batch fill writes
-    /// each plane sequentially instead of scattering one store per
-    /// plane per pair.
-    block_sums: Vec<f64>,
+    /// The window plane of the last aligned window asked for (see the
+    /// [module docs](self)), and that window; `None` until the first
+    /// aligned query.
+    window_plane: Vec<f64>,
+    plane_window: Option<Range<usize>>,
 }
 
 /// See the [module docs](self).
@@ -117,7 +131,7 @@ pub struct DayCache {
     num_series: usize,
     len: usize,
     /// Block granularity for slot-aligned product sums; 0 disables the
-    /// block planes and every window uses the prefix rows.
+    /// window planes and every window uses the prefix rows.
     block: usize,
     /// Row-major `num_series × len` raw values.
     values: Vec<f64>,
@@ -134,10 +148,11 @@ impl DayCache {
         Self::try_with_block_size(series, 0)
     }
 
-    /// [`try_new`](Self::try_new) with slot-major block planes of
-    /// granularity `block` (see the [module docs](self)). A `block`
-    /// that is zero or does not divide the day length disables the
-    /// planes; the cache then behaves exactly like [`try_new`].
+    /// [`try_new`](Self::try_new) with window planes for windows
+    /// aligned to blocks of `block` samples (see the
+    /// [module docs](self)). A `block` that is zero or does not divide
+    /// the day length disables the planes; the cache then behaves
+    /// exactly like [`try_new`].
     pub fn try_with_block_size(series: &[TimeSeries], block: usize) -> Result<Self, Error> {
         if series.is_empty() {
             return Err(Error::EmptySeriesSet);
@@ -156,7 +171,6 @@ impl DayCache {
         } else {
             0
         };
-        let num_pairs = num_series * (num_series + 1) / 2;
         Ok(Self {
             num_series,
             len,
@@ -165,8 +179,9 @@ impl DayCache {
             pairs: RefCell::new(PairStore {
                 prefix: Vec::new(),
                 sq_prefix: Vec::new(),
-                rows: vec![Vec::new(); num_pairs],
-                block_sums: Vec::new(),
+                rows: Vec::new(),
+                window_plane: Vec::new(),
+                plane_window: None,
             }),
         })
     }
@@ -336,80 +351,60 @@ impl DayCache {
         let mean_u = means[u];
         let store = &mut *self.pairs.borrow_mut();
         if self.aligned(&window) {
-            if store.block_sums.is_empty() {
-                self.fill_all_blocks(store);
+            // Split at `u`: the `v ≤ u` half of the triangular row is
+            // contiguous in the plane and vectorizes.
+            let plane = self.window_plane(store, &window);
+            let base = u * (u + 1) / 2;
+            for (v, (acc_v, &mean_v)) in acc[..=u].iter_mut().zip(means).enumerate() {
+                *acc_v += plane[base + v] * inv_w - mean_u * mean_v;
             }
-            let num_pairs = self.num_series * (self.num_series + 1) / 2;
-            let (k0, k1) = (window.start / self.block, window.end / self.block);
-            if k1 == k0 + 1 {
-                // The hot shape: a one-slot window reads one plane.
-                // Split at `u`: the `v ≤ u` half of the triangular row
-                // is contiguous in the plane and vectorizes.
-                let plane = &store.block_sums[k0 * num_pairs..(k0 + 1) * num_pairs];
-                let base = u * (u + 1) / 2;
-                for (v, (acc_v, &mean_v)) in acc[..=u].iter_mut().zip(means).enumerate() {
-                    *acc_v += plane[base + v] * inv_w - mean_u * mean_v;
-                }
-                for (acc_v, (v, &mean_v)) in acc[u + 1..]
-                    .iter_mut()
-                    .zip(means.iter().enumerate().skip(u + 1))
-                {
-                    *acc_v += plane[v * (v + 1) / 2 + u] * inv_w - mean_u * mean_v;
-                }
-            } else {
-                for (v, (acc_v, &mean_v)) in acc.iter_mut().zip(means).enumerate() {
-                    let (lo, hi) = if u <= v { (u, v) } else { (v, u) };
-                    let idx = hi * (hi + 1) / 2 + lo;
-                    let mut products = 0.0;
-                    for k in k0..k1 {
-                        products += store.block_sums[k * num_pairs + idx];
-                    }
-                    *acc_v += products * inv_w - mean_u * mean_v;
-                }
+            for (acc_v, (v, &mean_v)) in acc[u + 1..]
+                .iter_mut()
+                .zip(means.iter().enumerate().skip(u + 1))
+            {
+                *acc_v += plane[v * (v + 1) / 2 + u] * inv_w - mean_u * mean_v;
             }
             return;
         }
         let (a, b) = (window.start, window.end);
         for (v, (acc_v, &mean_v)) in acc.iter_mut().zip(means).enumerate() {
-            let (lo, hi) = if u <= v { (u, v) } else { (v, u) };
-            let row = &mut store.rows[hi * (hi + 1) / 2 + lo];
-            if row.is_empty() {
-                build_pair_row(self.series(lo), self.series(hi), self.len, row);
-            }
+            let row = self.pair_row(&mut store.rows, u, v);
             let products = row[b] - row[a];
             *acc_v += products * inv_w - mean_u * mean_v;
         }
     }
 
-    /// `Σ x_i·x_j` over the window, from the block planes when the
+    /// `Σ x_i·x_j` over the window, from the window plane when the
     /// window is block-aligned and the memoized prefix rows otherwise
     /// (either representation is built on first use). Aligned windows
-    /// always take the block path so the scalar and bulk queries agree
+    /// always read the plane so the scalar and bulk queries agree
     /// bitwise.
     fn window_product_sum(&self, i: usize, j: usize, window: &Range<usize>) -> f64 {
-        let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
-        let idx = hi * (hi + 1) / 2 + lo;
         let store = &mut *self.pairs.borrow_mut();
         if self.aligned(window) {
-            if store.block_sums.is_empty() {
-                self.fill_all_blocks(store);
-            }
-            let num_pairs = self.num_series * (self.num_series + 1) / 2;
-            let mut products = 0.0;
-            for k in window.start / self.block..window.end / self.block {
-                products += store.block_sums[k * num_pairs + idx];
-            }
-            return products;
+            let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
+            return self.window_plane(store, window)[hi * (hi + 1) / 2 + lo];
         }
-        let row = &mut store.rows[idx];
-        if row.is_empty() {
-            build_pair_row(self.series(lo), self.series(hi), self.len, row);
-        }
+        let row = self.pair_row(&mut store.rows, i, j);
         row[window.end] - row[window.start]
     }
 
+    /// The product prefix row of pair `(i, j)`, building the row table
+    /// and the row on first use.
+    fn pair_row<'s>(&self, rows: &'s mut Vec<Vec<f64>>, i: usize, j: usize) -> &'s [f64] {
+        let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
+        if rows.is_empty() {
+            rows.resize(self.num_series * (self.num_series + 1) / 2, Vec::new());
+        }
+        let row = &mut rows[hi * (hi + 1) / 2 + lo];
+        if row.is_empty() {
+            build_pair_row(self.series(lo), self.series(hi), self.len, row);
+        }
+        row
+    }
+
     /// Whether `window` starts and ends on block boundaries (and the
-    /// block planes exist at all).
+    /// window planes exist at all).
     #[inline]
     fn aligned(&self, window: &Range<usize>) -> bool {
         self.block != 0
@@ -417,27 +412,27 @@ impl DayCache {
             && window.end.is_multiple_of(self.block)
     }
 
-    /// Computes every pair's per-block product sums, plane-major so
-    /// each plane is written sequentially (a per-pair fill would
-    /// scatter one store per plane per pair). The four-lane dot breaks
-    /// the loop-carried fma chain of the naive running sum; the
-    /// summation order differs from
-    /// [`stats::covariance`](crate::stats::covariance) by design (the
-    /// windowed covariances are ulp-tolerant, see the module docs).
-    fn fill_all_blocks(&self, store: &mut PairStore) {
-        let g = self.block;
-        let num_pairs = self.num_series * (self.num_series + 1) / 2;
-        store.block_sums.reserve_exact((self.len / g) * num_pairs);
-        for k in 0..self.len / g {
-            let span = k * g..(k + 1) * g;
-            for hi in 0..self.num_series {
-                let xb = &self.series(hi)[span.clone()];
-                for lo in 0..=hi {
-                    let xa = &self.series(lo)[span.clone()];
-                    store.block_sums.push(block_dot(xa, xb));
+    /// The window plane of the aligned `window`, recomputed only when
+    /// the window differs from the memoized one: every pair starts at
+    /// `0.0` and each block of the window is transposed sample-major
+    /// and added in order by [`add_block_plane`].
+    fn window_plane<'s>(&self, store: &'s mut PairStore, window: &Range<usize>) -> &'s [f64] {
+        if store.plane_window.as_ref() != Some(window) {
+            let (n, g) = (self.num_series, self.block);
+            store.window_plane.clear();
+            store.window_plane.resize(n * (n + 1) / 2, 0.0);
+            let mut block = vec![0.0; g * n];
+            for start in window.clone().step_by(g) {
+                for i in 0..n {
+                    for (s, &x) in self.series(i)[start..start + g].iter().enumerate() {
+                        block[s * n + i] = x;
+                    }
                 }
+                add_block_plane(&block, n, &mut store.window_plane);
             }
+            store.plane_window = Some(window.clone());
         }
+        &store.window_plane
     }
 
     fn check_window(&self, window: &Range<usize>) {
@@ -451,8 +446,59 @@ impl DayCache {
     }
 }
 
-/// Dot product with four independent accumulator lanes, so the fma
-/// chain pipelines instead of serializing on one running sum.
+/// Adds one block's four-lane dot products into a triangular plane,
+/// entry `hi·(hi+1)/2 + lo` += `Σ x_lo·x_hi`, from the block held
+/// sample-major (`block[s·n + i]` is sample `s` of series `i`): four
+/// `lo` pairs per register tile, then the row's leftover pairs one at a
+/// time.
+fn add_block_plane(block: &[f64], n: usize, plane: &mut [f64]) {
+    for hi in 0..n {
+        let row = &mut plane[hi * (hi + 1) / 2..][..=hi];
+        let mut tiles = row.chunks_exact_mut(4);
+        for (t, out) in (&mut tiles).enumerate() {
+            for (o, d) in out.iter_mut().zip(tile_dots::<4>(block, n, 4 * t, hi)) {
+                *o += d;
+            }
+        }
+        let done = (hi + 1) / 4 * 4;
+        for (q, out) in tiles.into_remainder().iter_mut().enumerate() {
+            *out += tile_dots::<1>(block, n, done + q, hi)[0];
+        }
+    }
+}
+
+/// The dot products of series `lo..lo + W` with series `hi` over a
+/// sample-major block, each pair with the exact operations of a
+/// four-lane dot: lanes from `0.0` over chunks of four samples,
+/// `(l0 + l1) + (l2 + l3)`, then the leftover samples in order.
+#[inline(always)]
+fn tile_dots<const W: usize>(block: &[f64], n: usize, lo: usize, hi: usize) -> [f64; W] {
+    let mut samples = block.chunks_exact(n);
+    let mut lanes = [[0.0f64; W]; 4];
+    for _ in 0..samples.len() / 4 {
+        for lane in &mut lanes {
+            let s = samples.next().expect("a full chunk of four samples");
+            let y = s[hi];
+            for (acc, &x) in lane.iter_mut().zip(&s[lo..lo + W]) {
+                *acc += x * y;
+            }
+        }
+    }
+    let mut out = [0.0; W];
+    for (q, o) in out.iter_mut().enumerate() {
+        *o = (lanes[0][q] + lanes[1][q]) + (lanes[2][q] + lanes[3][q]);
+    }
+    for s in samples {
+        for (o, &x) in out.iter_mut().zip(&s[lo..lo + W]) {
+            *o += x * s[hi];
+        }
+    }
+    out
+}
+
+/// Dot product with four independent accumulator lanes — the per-pair
+/// oracle the tiled [`add_block_plane`] must reproduce bit for bit.
+#[cfg(test)]
 fn block_dot(a: &[f64], b: &[f64]) -> f64 {
     let mut lanes = [0.0f64; 4];
     let mut ca = a.chunks_exact(4);
@@ -549,6 +595,104 @@ mod tests {
         let ab = day.window_covariance(0, 2, 1..9);
         let ba = day.window_covariance(2, 0, 1..9);
         assert_eq!(ab, ba);
+    }
+
+    /// Wiggly fixtures with irregular magnitudes, so every block sum
+    /// rounds and a reordered addition would change bits.
+    fn rough_fixtures(n: usize, len: usize) -> Vec<TimeSeries> {
+        (0..n)
+            .map(|i| {
+                TimeSeries::from_values(
+                    (0..len)
+                        .map(|t| {
+                            let x = ((i * 31 + t * 17) % 23) as f64;
+                            0.1 * (i + 1) as f64 + x.sqrt() * (1.0 + 0.37 * t as f64).ln()
+                        })
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// Every window plane entry must equal `0.0 + d[k0] + … + d[k1−1]`
+    /// of per-pair four-lane block dots, bit for bit, on one-block and
+    /// multi-block windows.
+    #[test]
+    fn tiled_window_plane_matches_per_pair_block_dots_bitwise() {
+        for block in [1, 3, 4, 5, 12] {
+            for n in [1, 2, 3, 5, 6, 7, 9, 13] {
+                let series = rough_fixtures(n, block * 3);
+                let day = DayCache::with_block_size(&series, block);
+                for blocks in [0..1, 2..3, 0..3, 1..3] {
+                    let window = blocks.start * block..blocks.end * block;
+                    let store = &mut *day.pairs.borrow_mut();
+                    let plane = day.window_plane(store, &window);
+                    assert_eq!(plane.len(), n * (n + 1) / 2);
+                    for hi in 0..n {
+                        for lo in 0..=hi {
+                            let want = blocks.clone().fold(0.0, |sum, k| {
+                                let span = k * block..(k + 1) * block;
+                                sum + block_dot(
+                                    &day.series(lo)[span.clone()],
+                                    &day.series(hi)[span],
+                                )
+                            });
+                            let got = plane[hi * (hi + 1) / 2 + lo];
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "block {block}, {n} series, blocks {blocks:?}, pair ({lo}, {hi})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bulk row and the scalar per-pair query must both equal the
+    /// covariance formula over per-pair block dots, bit for bit, on
+    /// one-block and multi-block windows — each asked right after a
+    /// query of a different window replaced the memoized plane.
+    #[test]
+    fn bulk_window_covariances_match_scalar_bitwise() {
+        let (n, block) = (7, 4);
+        let series = rough_fixtures(n, 6 * block);
+        let day = DayCache::with_block_size(&series, block);
+        let windows = [0..24, 4..8, 8..20, 0..24, 4..16, 8..20, 20..24];
+        for (i, window) in windows.iter().enumerate() {
+            let other = windows[(i + 1) % windows.len()].clone();
+            let inv_w = 1.0 / window.len() as f64;
+            let means: Vec<f64> = (0..n)
+                .map(|i| stats::mean(&day.series(i)[window.clone()]))
+                .collect();
+            for u in 0..n {
+                let _ = day.window_covariance(0, 1, other.clone());
+                let mut acc = vec![0.0; n];
+                day.accumulate_window_covariances(u, window.clone(), &means, &mut acc);
+                for (v, &bulk) in acc.iter().enumerate() {
+                    let products =
+                        (window.start / block..window.end / block).fold(0.0, |sum, k| {
+                            let span = k * block..(k + 1) * block;
+                            sum + block_dot(&day.series(u)[span.clone()], &day.series(v)[span])
+                        });
+                    let want = products * inv_w - means[u] * means[v];
+                    let _ = day.window_covariance(0, 1, other.clone());
+                    let scalar =
+                        day.window_covariance_with_means(u, v, window.clone(), means[u], means[v]);
+                    assert_eq!(
+                        bulk.to_bits(),
+                        want.to_bits(),
+                        "bulk, window {window:?}, pair ({u}, {v})"
+                    );
+                    assert_eq!(
+                        scalar.to_bits(),
+                        want.to_bits(),
+                        "scalar, window {window:?}, pair ({u}, {v})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
