@@ -205,3 +205,21 @@ fn sweep_tables_fit_long_labels() {
         }
     }
 }
+
+/// A spec nested far past any real one is a one-line error and exit
+/// code 1, not a stack overflow that aborts the process.
+#[test]
+fn deeply_nested_spec_file_fails_cleanly() {
+    let path = std::env::temp_dir().join("ntcdc_deep_spec.json");
+    std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_ntcdc"))
+        .args(["sweep", "--spec", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.starts_with("error: parsing "), "{err}");
+    assert!(err.contains("nesting"), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+}

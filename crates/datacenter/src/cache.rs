@@ -29,11 +29,25 @@
 //! [`ForecastCache`] does the same one level up for predictor sweeps:
 //! the day-ahead forecast depends only on the fleet and the (spec-wide)
 //! predictor, so all policy/server/scale/floor arms over one fleet
-//! share its seven `DayForecast`s.
+//! share one [`DayForecast`] per day. A day is filled per series rather
+//! than under one lock: it holds one `OnceLock` per series (the CPU
+//! series of every VM, then the memory series) and a claim cursor.
+//! Every cell that needs the day claims series off the cursor and
+//! forecasts them, then walks all slots, waiting for series other
+//! cells still have in flight and recomputing any whose claimant
+//! panicked. Cells that arrive together therefore split the day's
+//! forecasts between them instead of one computing while the others
+//! wait. Each series is a pure function of (fleet, VM, day,
+//! predictor), so which cell computed it cannot change a bit, and it is
+//! stored once, in the shared day.
 //!
 //! [`CacheStats`] counts hits and misses; `ntcdc sweep --cache-stats`
-//! prints the totals.
+//! prints the totals. Every shared lookup goes through [`cached`]: the
+//! call that initializes a lock is the miss, every other one a hit.
+//! That gives each plan slot one miss, and each (fleet, day) one
+//! forecast miss, charged to the first cell to complete the day.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ntc_core::SlotPlan;
@@ -56,9 +70,11 @@ pub struct CacheStats {
     pub plan_hits: usize,
     /// Allocation slots that had to be planned (and were then shared).
     pub plan_misses: usize,
-    /// Day-ahead forecasts answered from the shared forecast cache.
+    /// Day-ahead forecast lookups of a day another run completed first
+    /// (this run may still have computed some of its series).
     pub forecast_hits: usize,
-    /// Day-ahead forecasts that had to be computed.
+    /// Day-ahead forecasts this run completed first: one per (fleet,
+    /// day) of a cached sweep, however many cells computed its series.
     pub forecast_misses: usize,
 }
 
@@ -70,16 +86,109 @@ impl CacheStats {
         self.forecast_hits += other.forecast_hits;
         self.forecast_misses += other.forecast_misses;
     }
+
+    /// Counts one plan lookup; `missed` as returned by [`cached`].
+    pub(crate) fn count_plan(&mut self, missed: bool) {
+        if missed {
+            self.plan_misses += 1;
+        } else {
+            self.plan_hits += 1;
+        }
+    }
+
+    /// Counts one day-forecast lookup; `missed` as returned by
+    /// [`DayForecast::fill`].
+    pub(crate) fn count_forecast(&mut self, missed: bool) {
+        if missed {
+            self.forecast_misses += 1;
+        } else {
+            self.forecast_hits += 1;
+        }
+    }
 }
 
-/// One day-ahead forecast for a fleet: per-VM CPU and memory series of
-/// one day.
+/// The value of `lock`, initialized with `init` unless another caller
+/// got there first, and whether this call ran `init` — the caches' one
+/// hit/miss rule. A panicking `init` leaves the lock unset, so the next
+/// caller computes the value instead.
+pub(crate) fn cached<T>(lock: &OnceLock<T>, init: impl FnOnce() -> T) -> (&T, bool) {
+    let mut missed = false;
+    let value = lock.get_or_init(|| {
+        missed = true;
+        init()
+    });
+    (value, missed)
+}
+
+/// One fleet-day of day-ahead forecasts, filled cooperatively; see the
+/// [module docs](self).
 #[derive(Debug)]
 pub(crate) struct DayForecast {
-    /// Per-VM forecast CPU series (one day long).
-    pub cpu: Vec<TimeSeries>,
-    /// Per-VM forecast memory series (one day long).
-    pub mem: Vec<TimeSeries>,
+    /// The CPU forecast of every VM, then the memory forecast of every
+    /// VM, each one day long.
+    series: Vec<OnceLock<TimeSeries>>,
+    /// The next series no caller has claimed yet.
+    next: AtomicUsize,
+    /// Set by the first caller to see every series filled.
+    done: OnceLock<()>,
+}
+
+impl DayForecast {
+    /// An empty day for a fleet of `num_vms` VMs.
+    pub fn new(num_vms: usize) -> Self {
+        Self {
+            series: (0..2 * num_vms).map(|_| OnceLock::new()).collect(),
+            next: AtomicUsize::new(0),
+            done: OnceLock::new(),
+        }
+    }
+
+    /// Number of VMs the day covers.
+    pub fn num_vms(&self) -> usize {
+        self.series.len() / 2
+    }
+
+    /// Fills every series, series `i` with `compute(i)`, and returns
+    /// whether this call is the day's miss (the first to finish it).
+    ///
+    /// The caller claims series off the cursor and computes them, then
+    /// walks every slot: a series another caller is computing is waited
+    /// for, one whose computation panicked is computed here. A caller
+    /// only waits once it has nothing claimed in flight, so callers can
+    /// never wait on each other in a cycle.
+    pub fn fill(&self, compute: impl Fn(usize) -> TimeSeries) -> bool {
+        loop {
+            // Relaxed: the cursor only hands out indices; each slot's
+            // `OnceLock` publishes its series.
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = self.series.get(i) else {
+                break;
+            };
+            slot.get_or_init(|| compute(i));
+        }
+        for (i, slot) in self.series.iter().enumerate() {
+            slot.get_or_init(|| compute(i));
+        }
+        cached(&self.done, || ()).1
+    }
+
+    /// The per-VM CPU forecasts of a [filled](Self::fill) day.
+    pub fn cpu(&self) -> Vec<&TimeSeries> {
+        self.filled(0)
+    }
+
+    /// The per-VM memory forecasts of a [filled](Self::fill) day.
+    pub fn mem(&self) -> Vec<&TimeSeries> {
+        self.filled(self.num_vms())
+    }
+
+    /// The `num_vms` series from index `first` on.
+    fn filled(&self, first: usize) -> Vec<&TimeSeries> {
+        self.series[first..first + self.num_vms()]
+            .iter()
+            .map(|s| s.get().expect("a day is filled before it is read"))
+            .collect()
+    }
 }
 
 /// The identity of a plan group: everything that can change what a
@@ -215,27 +324,30 @@ impl PlanCache {
     }
 }
 
-/// Per-fleet day-forecast locks shared by every cell over that fleet;
-/// only built for non-oracle sweeps (the predictor is spec-wide).
+/// Per-fleet day forecasts shared by every cell over that fleet; only
+/// built for non-oracle sweeps (the predictor is spec-wide).
 #[derive(Debug)]
 pub(crate) struct ForecastCache {
-    entries: Vec<(FleetSpec, Vec<OnceLock<Arc<DayForecast>>>)>,
+    entries: Vec<(FleetSpec, Vec<Arc<DayForecast>>)>,
 }
 
 impl ForecastCache {
     /// Builds an empty cache over the distinct fleet specs.
     pub fn new(fleets: &[FleetSpec]) -> Self {
-        let mut entries: Vec<(FleetSpec, Vec<OnceLock<Arc<DayForecast>>>)> = Vec::new();
+        let mut entries: Vec<(FleetSpec, Vec<Arc<DayForecast>>)> = Vec::new();
         for &fleet in fleets {
             if !entries.iter().any(|(f, _)| *f == fleet) {
-                entries.push((fleet, (0..EVAL_DAYS).map(|_| OnceLock::new()).collect()));
+                let days = (0..EVAL_DAYS)
+                    .map(|_| Arc::new(DayForecast::new(fleet.num_vms)))
+                    .collect();
+                entries.push((fleet, days));
             }
         }
         Self { entries }
     }
 
-    /// The seven day-forecast locks of `fleet`.
-    pub fn days(&self, fleet: &FleetSpec) -> &[OnceLock<Arc<DayForecast>>] {
+    /// The seven shared days of `fleet`.
+    pub fn days(&self, fleet: &FleetSpec) -> &[Arc<DayForecast>] {
         let (_, days) = self
             .entries
             .iter()
@@ -253,8 +365,8 @@ pub(crate) struct RunCaches<'c> {
     /// Shared per-slot plans, when the engine deduplicated this cell
     /// into a plan group.
     pub plans: Option<&'c PlanGroup>,
-    /// Shared day-forecast locks of this cell's fleet.
-    pub forecasts: Option<&'c [OnceLock<Arc<DayForecast>>]>,
+    /// Shared day forecasts of this cell's fleet.
+    pub forecasts: Option<&'c [Arc<DayForecast>]>,
 }
 
 impl RunCaches<'_> {
@@ -351,6 +463,84 @@ mod tests {
         let cache = ForecastCache::new(&fleets);
         assert_eq!(cache.days(&fleets[0]).len(), EVAL_DAYS);
         assert_eq!(cache.entries.len(), 1);
+    }
+
+    /// A deterministic stand-in for one series' forecast.
+    fn series_of(i: usize) -> TimeSeries {
+        (0..6).map(|t| (i * 7 + t) as f64 / 3.0).collect()
+    }
+
+    fn day_bits(day: &DayForecast) -> Vec<u64> {
+        day.cpu()
+            .into_iter()
+            .chain(day.mem())
+            .flat_map(|s| s.values().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    fn clean_day(num_vms: usize) -> DayForecast {
+        let day = DayForecast::new(num_vms);
+        assert!(day.fill(series_of), "a lone caller is the day's miss");
+        day
+    }
+
+    #[test]
+    fn a_series_whose_computation_panicked_is_recomputed() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let day = DayForecast::new(3);
+        let calls = AtomicUsize::new(0);
+        let compute = |i: usize| {
+            // Series 2's first computation panics mid-fill.
+            if calls.fetch_add(1, Ordering::Relaxed) == 2 {
+                panic!("injected forecast fault");
+            }
+            series_of(i)
+        };
+        assert!(catch_unwind(AssertUnwindSafe(|| day.fill(compute))).is_err());
+        // The next caller claims what is left, recomputes series 2 on
+        // its walk, completes the day and takes its miss.
+        assert!(day.fill(compute));
+        assert_eq!(calls.load(Ordering::Relaxed), 7, "only series 2 ran twice");
+        assert_eq!(day_bits(&day), day_bits(&clean_day(3)));
+        assert!(!day.fill(compute), "a filled day is a hit");
+        assert_eq!(calls.load(Ordering::Relaxed), 7);
+    }
+
+    #[test]
+    fn concurrent_callers_split_the_day_and_count_one_miss() {
+        let day = DayForecast::new(16);
+        let calls = AtomicUsize::new(0);
+        // Series 0 and 1 meet at the barrier: the caller that claimed
+        // series 0 holds it until the other caller has claimed series 1,
+        // so both callers compute part of the day.
+        let meet = std::sync::Barrier::new(2);
+        let compute = |i: usize| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            if i < 2 {
+                meet.wait();
+            }
+            series_of(i)
+        };
+        // Each caller reports (missed, series it computed).
+        let results: Vec<(bool, usize)> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mine = AtomicUsize::new(0);
+                        let missed = day.fill(|i| {
+                            mine.fetch_add(1, Ordering::Relaxed);
+                            compute(i)
+                        });
+                        (missed, mine.into_inner())
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert_eq!(results.iter().filter(|r| r.0).count(), 1, "{results:?}");
+        assert!(results.iter().all(|r| r.1 > 0), "{results:?}");
+        assert_eq!(calls.load(Ordering::Relaxed), 32, "each series once");
+        assert_eq!(day_bits(&day), day_bits(&clean_day(16)));
     }
 
     #[test]

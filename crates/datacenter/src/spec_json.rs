@@ -463,12 +463,22 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting the parser accepts. The spec and export
+/// formats nest three levels deep; the bound keeps the recursive descent
+/// (and the recursive drop of the tree) off the end of the stack on
+/// hostile input.
+const MAX_DEPTH: usize = 64;
+
 /// Minimal recursive-descent JSON parser (no escapes beyond the ones
 /// [`escape`] emits, no exponents in the grammar we accept — plenty for
-/// the spec format, zero dependencies).
+/// the spec format, zero dependencies). Linear in the input, and nesting
+/// is bounded by [`MAX_DEPTH`], so every input yields a value or an
+/// `Err`.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -476,6 +486,7 @@ impl<'a> Parser<'a> {
         Self {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -526,8 +537,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             b'"' => Ok(Value::String(self.string()?)),
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
@@ -598,13 +623,24 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
+            // Copy the run of plain characters up to the next quote or
+            // backslash in one step. Both are ASCII, so the run is whole
+            // UTF-8 scalars and is validated once, keeping the scan
+            // linear in the string's length.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            let plain = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
+                .map_err(|_| "invalid UTF-8".to_string())?;
+            out.push_str(plain);
+            self.pos += run;
+            match self.bytes[self.pos] {
+                b'"' => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     let escaped = self.bytes.get(self.pos + 1).ok_or("unterminated escape")?;
                     out.push(match escaped {
                         b'"' => '"',
@@ -614,14 +650,6 @@ impl<'a> Parser<'a> {
                         other => return Err(format!("unsupported escape \\{}", *other as char)),
                     });
                     self.pos += 2;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar: lean on str validity.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty by the match above");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -784,6 +812,29 @@ mod tests {
         assert!(from_json(r#"{"name": }"#).is_err());
         assert!(from_json("{} trailing").is_err());
         assert!(from_json(r#"{"fleet": {"num_vms": -3, "seed": 1}}"#).is_err());
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_depth_bound() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_value(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Far too deep to recurse through: an error, not a stack overflow.
+        let err = from_json(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let err = from_json(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Multi-byte scalars and escapes between long plain runs.
+        let name = format!("{}\"é€𝄞\n{}", "x".repeat(200_000), "ü".repeat(50_000));
+        let mut spec = ExperimentSpec::default_sweep();
+        spec.name = name.clone();
+        assert_eq!(from_json(&to_json(&spec)).unwrap().name, name);
+        assert!(from_json(&format!("{{\"name\": \"{}", "y".repeat(100_000))).is_err());
     }
 
     #[test]

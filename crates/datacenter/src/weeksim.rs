@@ -1,5 +1,5 @@
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ntc_core::{AllocationPolicy, DvfsGovernor, SlotContext, SlotPlan};
 use ntc_forecast::Predictor;
@@ -9,7 +9,7 @@ use ntc_units::Frequency;
 use ntc_workload::{Fleet, MemClass};
 
 use crate::backend::{mem_class_rank, AnalyticBackend, GovernedSlot, SlotBackend};
-use crate::cache::{CacheStats, DayForecast, RunCaches};
+use crate::cache::{cached, CacheStats, DayForecast, RunCaches};
 use crate::fault::{self, CellStage};
 use crate::{SlotOutcome, WeekOutcome};
 
@@ -307,38 +307,17 @@ impl<'a> WeekSim<'a> {
             if slot % period == 0 {
                 fault::enter(CellStage::Plan);
                 // Shared-plan fast path first: a hit skips forecasting,
-                // moment building and packing for the whole period.
-                let new_plan: Arc<SlotPlan> = match caches.plans.and_then(|g| g.slot(slot)) {
-                    Some(lock) => {
-                        if let Some(plan) = lock.get() {
-                            stats.plan_hits += 1;
-                            Arc::clone(plan)
-                        } else {
-                            let mut computed = false;
-                            let plan = lock.get_or_init(|| {
-                                computed = true;
-                                Arc::new(self.plan_slot(
-                                    policy, predictor, caches, slot, period, slots, &mut state,
-                                    &mut stats,
-                                ))
-                            });
-                            if computed {
-                                stats.plan_misses += 1;
-                            } else {
-                                // Another worker initialized the lock
-                                // between our `get` and `get_or_init`.
-                                stats.plan_hits += 1;
-                            }
-                            Arc::clone(plan)
-                        }
-                    }
-                    None => {
-                        stats.plan_misses += 1;
-                        Arc::new(self.plan_slot(
-                            policy, predictor, caches, slot, period, slots, &mut state, &mut stats,
-                        ))
-                    }
-                };
+                // moment building and packing for the whole period. An
+                // uncached run plans through a fresh lock of its own.
+                let own = OnceLock::new();
+                let lock = caches.plans.and_then(|g| g.slot(slot)).unwrap_or(&own);
+                let (plan, missed) = cached(lock, || {
+                    Arc::new(self.plan_slot(
+                        policy, predictor, caches, slot, period, slots, &mut state, &mut stats,
+                    ))
+                });
+                stats.count_plan(missed);
+                let new_plan = Arc::clone(plan);
                 migrations_this_slot = match &current_plan {
                     Some(prev) => ntc_core::migration_count(prev, &new_plan),
                     None => 0,
@@ -468,8 +447,8 @@ impl<'a> WeekSim<'a> {
             DayState::refresh(&mut state.moments, &mut state.moments_day, day, || {
                 match (forecast, predictor) {
                     (Some(fc), Some(_)) => (
-                        DayCache::with_block_size(&fc.cpu, sps),
-                        DayCache::with_block_size(&fc.mem, sps),
+                        DayCache::with_block_size(&fc.cpu(), sps),
+                        DayCache::with_block_size(&fc.mem(), sps),
                     ),
                     _ => {
                         let (cpu, mem) = actual_windows(fleet, day_start..day_start + per_day);
@@ -484,11 +463,11 @@ impl<'a> WeekSim<'a> {
 
         let (pred_cpu, pred_mem): (Vec<TimeSeries>, Vec<TimeSeries>) = match &state.forecast {
             Some(fc) if predictor.is_some() => (
-                fc.cpu
+                fc.cpu()
                     .iter()
                     .map(|s| s.window(offset..offset + window_len))
                     .collect(),
-                fc.mem
+                fc.mem()
                     .iter()
                     .map(|s| s.window(offset..offset + window_len))
                     .collect(),
@@ -505,7 +484,8 @@ impl<'a> WeekSim<'a> {
     }
 
     /// The day-ahead forecast for `day`, shared through the engine's
-    /// forecast cache when one is attached. Matches the eager
+    /// forecast cache when one is attached (a run without one fills a
+    /// day of its own, through the same routine). Matches the eager
     /// day-boundary refresh of the pre-cache simulator bit for bit: the
     /// predictor sees all history up to the day's first sample.
     fn day_forecast(
@@ -517,46 +497,20 @@ impl<'a> WeekSim<'a> {
     ) -> Arc<DayForecast> {
         let per_day = self.fleet.grid().samples_per_day();
         let day_start = self.eval_start + day * per_day;
-        let build = || {
-            Arc::new(DayForecast {
-                cpu: self
-                    .fleet
-                    .vms()
-                    .iter()
-                    .map(|v| p.forecast(&v.cpu.window(0..day_start), per_day))
-                    .collect(),
-                mem: self
-                    .fleet
-                    .vms()
-                    .iter()
-                    .map(|v| p.forecast(&v.mem.window(0..day_start), per_day))
-                    .collect(),
-            })
+        let vms = self.fleet.vms();
+        let fc = match caches.forecasts.and_then(|days| days.get(day)) {
+            Some(shared) => Arc::clone(shared),
+            None => Arc::new(DayForecast::new(vms.len())),
         };
-        match caches.forecasts.and_then(|days| days.get(day)) {
-            Some(lock) => {
-                if let Some(fc) = lock.get() {
-                    stats.forecast_hits += 1;
-                    Arc::clone(fc)
-                } else {
-                    let mut computed = false;
-                    let fc = lock.get_or_init(|| {
-                        computed = true;
-                        build()
-                    });
-                    if computed {
-                        stats.forecast_misses += 1;
-                    } else {
-                        stats.forecast_hits += 1;
-                    }
-                    Arc::clone(fc)
-                }
-            }
-            None => {
-                stats.forecast_misses += 1;
-                build()
-            }
-        }
+        assert_eq!(fc.num_vms(), vms.len(), "a day covers the whole fleet");
+        // Series i is the CPU forecast of VM i, then the memory ones.
+        let missed = fc.fill(|i| {
+            let vm = &vms[i % vms.len()];
+            let trace = if i < vms.len() { &vm.cpu } else { &vm.mem };
+            p.forecast(&trace.window(0..day_start), per_day)
+        });
+        stats.count_forecast(missed);
+        fc
     }
 }
 

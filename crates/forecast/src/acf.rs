@@ -7,6 +7,13 @@ use ntc_trace::stats;
 /// Returns 1.0 at lag 0 by definition; a constant series yields zeros at
 /// all positive lags.
 ///
+/// Exact op order: every lag is summed in one pass over the series,
+/// each into its own accumulator that starts at −0.0 (the neutral
+/// element of `Iterator::sum` for f64) and takes its products in
+/// increasing `t` — the rounding of a separate `sum` per lag. Lag 0 is
+/// the variance sum, so `c0` is that accumulator over `n` and
+/// `rho[k] = (acc[k]/n)/c0` bit for bit.
+///
 /// # Panics
 ///
 /// Panics if `max_lag >= y.len()`.
@@ -25,6 +32,37 @@ pub fn acf(y: &[f64], max_lag: usize) -> Vec<f64> {
         "max lag {max_lag} must be below series length {}",
         y.len()
     );
+    let n = y.len() as f64;
+    let m = stats::mean(y);
+    let centered: Vec<f64> = y.iter().map(|v| v - m).collect();
+    // acc[k] = Σ_{t ≥ k} (y[t]−m)(y[t−k]−m), every lag in one pass.
+    let mut acc = vec![-0.0; max_lag + 1];
+    for (t, &dt) in centered.iter().enumerate() {
+        for (a, &ds) in acc.iter_mut().zip(centered[..=t].iter().rev()) {
+            *a += dt * ds;
+        }
+    }
+    let c0 = acc[0] / n;
+    acc.iter()
+        .enumerate()
+        .map(|(k, &ck)| {
+            if c0 < 1e-12 {
+                if k == 0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            } else {
+                (ck / n) / c0
+            }
+        })
+        .collect()
+}
+
+/// The per-lag [`acf`] (one pass over the series per lag) that the
+/// one-pass version replaced, kept as the bit-identity oracle.
+#[cfg(test)]
+pub(crate) fn acf_per_lag(y: &[f64], max_lag: usize) -> Vec<f64> {
     let n = y.len() as f64;
     let m = stats::mean(y);
     let c0: f64 = y.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / n;
@@ -87,6 +125,7 @@ pub fn pacf(y: &[f64], max_lag: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ar1_series(phi: f64, n: usize) -> Vec<f64> {
         // deterministic pseudo-noise so the test is reproducible
@@ -125,6 +164,41 @@ mod tests {
         for &later in &p[1..] {
             assert!(later.abs() < 0.12, "higher-lag PACF must vanish: {p:?}");
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_pass_acf_matches_per_lag_sums_bit_for_bit(
+            raw in prop::collection::vec(-50.0f64..50.0, 2..160),
+            lag_frac in 0.0f64..1.0,
+            shape in 0usize..3,
+        ) {
+            // Raw noise, a constant series (the c0 < 1e-12 branch) and
+            // a coarsely quantized one (exact zeros among the products).
+            let y: Vec<f64> = match shape {
+                0 => raw,
+                1 => vec![raw[0]; raw.len()],
+                _ => raw.iter().map(|v| (v / 20.0).round()).collect(),
+            };
+            let max_lag = ((y.len() - 1) as f64 * lag_frac) as usize;
+            prop_assert_eq!(bits(&acf(&y, max_lag)), bits(&acf_per_lag(&y, max_lag)));
+        }
+    }
+
+    #[test]
+    fn negative_zero_lag_sum_keeps_its_sign() {
+        // The only lag-2 product is 0·(−1) = −0.0: summed from −0.0 it
+        // stays −0.0, as the per-lag `sum` leaves it.
+        let y = [-1.0, 1.0, 0.0];
+        let r = acf(&y, 2);
+        assert!(r[2] == 0.0 && r[2].is_sign_negative(), "{r:?}");
+        assert_eq!(bits(&r), bits(&acf_per_lag(&y, 2)));
     }
 
     #[test]

@@ -39,7 +39,33 @@ pub fn yule_walker(y: &[f64], p: usize) -> Vec<f64> {
 /// In-sample residuals of an AR model with coefficients `phi` applied to
 /// the (mean-removed) series: `e[t] = y[t] − Σ φ_i y[t−i]` for
 /// `t ≥ phi.len()`.
+///
+/// Exact op order: each prediction starts at −0.0 (the neutral element
+/// of `Iterator::sum` for f64) and adds `φ_i·y[t−1−i]` in increasing
+/// `i`, the rounding of a per-`t` `sum`. The loops run lag-outer,
+/// `t`-inner, so the inner loop is an elementwise update the compiler
+/// can vectorize without reassociating any sum.
 pub fn residuals(y: &[f64], phi: &[f64]) -> Vec<f64> {
+    let p = phi.len();
+    if y.len() <= p {
+        return Vec::new();
+    }
+    let mut pred = vec![-0.0; y.len() - p];
+    for (i, &c) in phi.iter().enumerate() {
+        for (acc, &lagged) in pred.iter_mut().zip(&y[p - 1 - i..]) {
+            *acc += c * lagged;
+        }
+    }
+    for (e, &actual) in pred.iter_mut().zip(&y[p..]) {
+        *e = actual - *e;
+    }
+    pred
+}
+
+/// The per-`t` [`residuals`] the lag-outer loops replaced, kept as the
+/// bit-identity oracle.
+#[cfg(test)]
+fn residuals_per_t(y: &[f64], phi: &[f64]) -> Vec<f64> {
     let p = phi.len();
     (p..y.len())
         .map(|t| {
@@ -52,6 +78,7 @@ pub fn residuals(y: &[f64], phi: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ar2_series(phi1: f64, phi2: f64, n: usize) -> Vec<f64> {
         let mut y = vec![0.0; n];
@@ -90,6 +117,26 @@ mod tests {
         }
         let res = residuals(&y, &[0.8]);
         assert!(res.iter().all(|r| r.abs() < 1e-12));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lag_outer_residuals_match_per_t_sums_bit_for_bit(
+            raw in prop::collection::vec(-20.0f64..20.0, 0..80),
+            phi in prop::collection::vec(-1.5f64..1.5, 0..10),
+            quantized in 0usize..2,
+        ) {
+            // Quantized inputs put exact (signed) zeros among the terms.
+            let y: Vec<f64> = if quantized == 1 {
+                raw.iter().map(|v| (v / 8.0).round()).collect()
+            } else {
+                raw
+            };
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            prop_assert_eq!(bits(residuals(&y, &phi)), bits(residuals_per_t(&y, &phi)));
+        }
     }
 
     #[test]

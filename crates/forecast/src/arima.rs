@@ -19,6 +19,13 @@ use crate::linalg;
 /// 4. forecast recursively with future innovations set to zero, then
 ///    integrate the differences back.
 ///
+/// Steps 2 and 3 build no per-row vectors: the ACF is one pass over the
+/// series and the regression accumulates its normal equations through
+/// one reused row. Each keeps the exact floating-point op order of the
+/// textbook per-lag and row-matrix forms (see [`crate::acf::acf`] and
+/// the regression's notes in the source), so a fit is bit-identical to
+/// theirs, which the tests check.
+///
 /// # Examples
 ///
 /// ```
@@ -100,6 +107,22 @@ impl Arima {
     /// Panics if the history is too short for the requested differencing
     /// and lag structure (at least `s + d + 3(p+q) + 10` samples).
     pub fn fit(&self, history: &[f64]) -> FittedArima {
+        let (zc, mean, tails) = self.centered(history);
+
+        // Stage 1: long-AR innovations.
+        let long_order = self.long_order(zc.len());
+        let innov = residuals(&zc, &yule_walker(&zc, long_order));
+
+        // Stage 2: regression of zc[t] on p lags of zc and q lags of
+        // innovations.
+        let beta = self.regress(&zc, &innov, long_order);
+        self.assemble(history, &zc, &innov, mean, tails, &beta)
+    }
+
+    /// Stage 0: differences `history` (seasonally at `s` if set, then
+    /// `d` times) and centers it. Returns the centered series, its mean
+    /// and the `d` tails needed to undo the ordinary differences.
+    fn centered(&self, history: &[f64]) -> (Vec<f64>, f64, Vec<f64>) {
         let s = self.seasonal_period.unwrap_or(0);
         let needed = s + self.d + 3 * (self.p + self.q) + 10;
         assert!(
@@ -108,45 +131,78 @@ impl Arima {
             history.len(),
             (self.p, self.d, self.q)
         );
-
-        // Stage 0: differencing.
-        let after_seasonal = match self.seasonal_period {
+        let mut tails = Vec::with_capacity(self.d);
+        let mut z = match self.seasonal_period {
             Some(sp) => diff::difference(history, sp),
             None => history.to_vec(),
         };
-        let mut tails = Vec::with_capacity(self.d);
-        let mut z = after_seasonal.clone();
         for _ in 0..self.d {
             tails.push(*z.last().expect("non-empty after differencing"));
             z = diff::difference(&z, 1);
         }
         let mean = stats::mean(&z);
         let zc: Vec<f64> = z.iter().map(|v| v - mean).collect();
+        (zc, mean, tails)
+    }
 
-        // Stage 1: long-AR innovations.
-        let long_order = (self.p + self.q + 5).min(zc.len() / 4).max(1);
-        let long_phi = yule_walker(&zc, long_order);
-        let innov = residuals(&zc, &long_phi);
-        // innov[k] corresponds to zc[k + long_order]
+    /// Order of the long AR whose residuals estimate the innovations.
+    fn long_order(&self, len: usize) -> usize {
+        (self.p + self.q + 5).min(len / 4).max(1)
+    }
 
-        // Stage 2: regression of zc[t] on p lags of zc and q lags of
-        // innovations.
-        let start = long_order + self.q.max(self.p);
-        let mut xrows = Vec::new();
-        let mut yvals = Vec::new();
-        for t in start..zc.len() {
-            let mut row = Vec::with_capacity(self.p + self.q);
-            for i in 1..=self.p {
-                row.push(zc[t - i]);
+    /// Stage 2: ridge-regularized least squares of `zc[t]` on the row
+    /// `[zc[t−1], …, zc[t−p], innov[t−1−L], …, innov[t−q−L]]`
+    /// (`L = long_order`; `innov[k]` is the innovation of `zc[k + L]`).
+    ///
+    /// The normal equations `(XᵀX + λI) β = Xᵀy` are accumulated straight
+    /// from the series through one reused row buffer instead of
+    /// materializing the design matrix. Exact op order: every entry
+    /// starts at `0.0` and takes its products `row[i]·y` and
+    /// `row[i]·row[j]` (`j ≥ i`) row by row in increasing `t`; then the
+    /// lower triangle is mirrored and `λ` added to the diagonal. That is
+    /// the order of a normal-equation pass over the materialized rows,
+    /// so `β` is bit-identical to it (the tests compare the two).
+    #[allow(clippy::needless_range_loop)] // indexed loops mirror the matrix algebra
+    fn regress(&self, zc: &[f64], innov: &[f64], long_order: usize) -> Vec<f64> {
+        let (p, k) = (self.p, self.p + self.q);
+        let mut xtx = vec![vec![0.0; k]; k];
+        let mut xty = vec![0.0; k];
+        let mut row = vec![0.0; k];
+        for t in long_order + self.q.max(p)..zc.len() {
+            for i in 0..p {
+                row[i] = zc[t - 1 - i];
             }
-            for j in 1..=self.q {
-                row.push(innov[t - j - long_order]);
+            for j in 0..self.q {
+                row[p + j] = innov[t - 1 - j - long_order];
             }
-            xrows.push(row);
-            yvals.push(zc[t]);
+            let y = zc[t];
+            for i in 0..k {
+                xty[i] += row[i] * y;
+                for j in i..k {
+                    xtx[i][j] += row[i] * row[j];
+                }
+            }
         }
-        let beta = linalg::least_squares(&xrows, &yvals, 1e-6)
-            .unwrap_or_else(|| vec![0.0; self.p + self.q]);
+        for i in 0..k {
+            for j in 0..i {
+                xtx[i][j] = xtx[j][i];
+            }
+            xtx[i][i] += RIDGE;
+        }
+        linalg::solve(xtx, xty).unwrap_or_else(|| vec![0.0; k])
+    }
+
+    /// Clamps the regression coefficients and keeps the state the
+    /// forecast recursion starts from.
+    fn assemble(
+        &self,
+        history: &[f64],
+        zc: &[f64],
+        innov: &[f64],
+        mean: f64,
+        diff_tails: Vec<f64>,
+        beta: &[f64],
+    ) -> FittedArima {
         let (phi_raw, theta_raw) = beta.split_at(self.p);
 
         // Stationarity/invertibility guard: shrink coefficient vectors
@@ -161,29 +217,26 @@ impl Arima {
                 coeffs.to_vec()
             }
         };
-        let phi = clamp_l1(phi_raw);
-        let theta = clamp_l1(theta_raw);
 
         // Keep recent state for forecasting.
-        let state_z: Vec<f64> = zc.iter().rev().take(self.p.max(1)).copied().collect();
-        let state_e: Vec<f64> = innov.iter().rev().take(self.q.max(1)).copied().collect();
-        let seasonal_tail = match self.seasonal_period {
-            Some(sp) => history[history.len() - sp..].to_vec(),
-            None => Vec::new(),
-        };
-
         FittedArima {
             spec: *self,
-            phi,
-            theta,
+            phi: clamp_l1(phi_raw),
+            theta: clamp_l1(theta_raw),
             mean,
-            state_z,
-            state_e,
-            diff_tails: tails,
-            seasonal_tail,
+            state_z: zc.iter().rev().take(self.p.max(1)).copied().collect(),
+            state_e: innov.iter().rev().take(self.q.max(1)).copied().collect(),
+            diff_tails,
+            seasonal_tail: match self.seasonal_period {
+                Some(sp) => history[history.len() - sp..].to_vec(),
+                None => Vec::new(),
+            },
         }
     }
 }
+
+/// Ridge parameter `λ` of the stage-2 regression.
+const RIDGE: f64 = 1e-6;
 
 /// A fitted ARIMA model, ready to forecast.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -253,6 +306,96 @@ impl FittedArima {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acf::acf_per_lag;
+    use proptest::prelude::*;
+
+    /// The fit as it stood before the one-pass ACF and the accumulated
+    /// normal equations: Yule–Walker on the per-lag ACF, then one `Vec`
+    /// per regression row through [`linalg::least_squares`]. Stages 0
+    /// and 3 are shared with [`Arima::fit`]; they did not change.
+    fn fit_per_row(spec: &Arima, history: &[f64]) -> FittedArima {
+        let (zc, mean, tails) = spec.centered(history);
+        let long_order = spec.long_order(zc.len());
+        let rho = acf_per_lag(&zc, long_order);
+        let toeplitz: Vec<Vec<f64>> = (0..long_order)
+            .map(|i| (0..long_order).map(|j| rho[i.abs_diff(j)]).collect())
+            .collect();
+        let long_phi =
+            linalg::solve(toeplitz, rho[1..].to_vec()).unwrap_or_else(|| vec![0.0; long_order]);
+        let innov = residuals(&zc, &long_phi);
+
+        let start = long_order + spec.q.max(spec.p);
+        let mut xrows = Vec::new();
+        let mut yvals = Vec::new();
+        for t in start..zc.len() {
+            let mut row = Vec::with_capacity(spec.p + spec.q);
+            for i in 1..=spec.p {
+                row.push(zc[t - i]);
+            }
+            for j in 1..=spec.q {
+                row.push(innov[t - j - long_order]);
+            }
+            xrows.push(row);
+            yvals.push(zc[t]);
+        }
+        let beta = linalg::least_squares(&xrows, &yvals, 1e-6)
+            .unwrap_or_else(|| vec![0.0; spec.p + spec.q]);
+        spec.assemble(history, &zc, &innov, mean, tails, &beta)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fit_matches_the_per_row_fit_bit_for_bit(
+            (p, d, q_raw) in (0usize..3, 0usize..3, 0usize..3),
+            period in 0usize..13,
+            extra in 0usize..160,
+            shape in 0usize..4,
+            raw in prop::collection::vec(0.0f64..100.0, 400),
+            horizon in 1usize..40,
+        ) {
+            // p + q > 0: a pure-AR order pulls in one or two MA terms.
+            let q = if p == 0 { 1 + q_raw % 2 } else { q_raw };
+            let mut spec = Arima::new(p, d, q);
+            // Periods 0 and 1 mean no seasonal differencing.
+            let s = if period >= 2 {
+                spec = spec.with_seasonal(period);
+                period
+            } else {
+                0
+            };
+            // A quarter of the cases sit at the minimum valid length.
+            let needed = s + d + 3 * (p + q) + 10;
+            let len = needed + if extra < 40 { 0 } else { extra };
+            let y: Vec<f64> = match shape {
+                0 => raw[..len].to_vec(),
+                // Constant: the acf's c0 < 1e-12 branch.
+                1 => vec![raw[0]; len],
+                // Periodic plus noise, the utilization-trace shape.
+                2 => (0..len)
+                    .map(|t| 40.0 + 25.0 * ((t % 12) as f64 / 2.0).sin() + raw[t] / 10.0)
+                    .collect(),
+                // Coarsely quantized: exact zeros among the products.
+                _ => raw[..len].iter().map(|v| (v / 25.0).round()).collect(),
+            };
+            let new = spec.fit(&y);
+            let old = fit_per_row(&spec, &y);
+            let label = (p, d, q, s, len, shape);
+            prop_assert_eq!(bits(new.phi()), bits(old.phi()), "phi {:?}", label);
+            prop_assert_eq!(bits(new.theta()), bits(old.theta()), "theta {:?}", label);
+            prop_assert_eq!(
+                bits(&new.forecast(horizon)),
+                bits(&old.forecast(horizon)),
+                "forecast {:?}",
+                label
+            );
+        }
+    }
 
     fn noisy_daily(n_days: usize, period: usize, noise: f64) -> Vec<f64> {
         let mut state = 0xDEADBEEFCAFEBABEu64;

@@ -1,9 +1,8 @@
 //! Minimal dense linear algebra for the ARIMA fits.
 //!
 //! The systems solved here are tiny (order ≤ a few dozen), so a plain
-//! Gaussian elimination with partial pivoting and a ridge-regularized
-//! normal-equation least squares are entirely adequate — a LAPACK
-//! binding would be unjustified (see DESIGN.md §6).
+//! Gaussian elimination with partial pivoting is entirely adequate — a
+//! LAPACK binding would be unjustified (see DESIGN.md §6).
 
 /// Solves `A x = b` by Gaussian elimination with partial pivoting.
 ///
@@ -66,6 +65,10 @@ pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 /// Ridge-regularized least squares: minimizes
 /// `‖X β − y‖² + λ‖β‖²` via the normal equations.
 ///
+/// Test-only: the ARIMA fit accumulates the same normal equations
+/// straight from its series, and checks itself bit for bit against this
+/// row-matrix form.
+///
 /// Returns `None` only if the regularized system is still singular
 /// (which cannot happen for `λ > 0` unless inputs are non-finite).
 ///
@@ -73,6 +76,7 @@ pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 ///
 /// Panics if rows of `x` have inconsistent lengths or `y` does not
 /// match, or if `lambda` is negative.
+#[cfg(test)]
 #[allow(clippy::needless_range_loop)] // indexed loops mirror the matrix algebra
 pub fn least_squares(x: &[Vec<f64>], y: &[f64], lambda: f64) -> Option<Vec<f64>> {
     assert!(lambda >= 0.0, "ridge parameter must be non-negative");

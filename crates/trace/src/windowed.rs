@@ -73,6 +73,7 @@
 //! assert!((day.window_covariance(0, 1, 1..3) - direct).abs() < 1e-12);
 //! ```
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -152,19 +153,23 @@ impl DayCache {
     /// aligned to blocks of `block` samples (see the
     /// [module docs](self)). A `block` that is zero or does not divide
     /// the day length disables the planes; the cache then behaves
-    /// exactly like [`try_new`].
-    pub fn try_with_block_size(series: &[TimeSeries], block: usize) -> Result<Self, Error> {
+    /// exactly like [`try_new`]. The series may be owned or borrowed
+    /// (`&[TimeSeries]` or `&[&TimeSeries]`).
+    pub fn try_with_block_size<S: Borrow<TimeSeries>>(
+        series: &[S],
+        block: usize,
+    ) -> Result<Self, Error> {
         if series.is_empty() {
             return Err(Error::EmptySeriesSet);
         }
-        let len = series[0].len();
-        if series.iter().any(|s| s.len() != len) {
+        let len = series[0].borrow().len();
+        if series.iter().any(|s| s.borrow().len() != len) {
             return Err(Error::RaggedSeries);
         }
         let num_series = series.len();
         let mut values = Vec::with_capacity(num_series * len);
         for s in series {
-            values.extend_from_slice(s.values());
+            values.extend_from_slice(s.borrow().values());
         }
         let block = if block > 0 && len.is_multiple_of(block) {
             block
@@ -206,7 +211,7 @@ impl DayCache {
     ///
     /// Panics if `series` is empty or the series lengths differ.
     #[track_caller]
-    pub fn with_block_size(series: &[TimeSeries], block: usize) -> Self {
+    pub fn with_block_size<S: Borrow<TimeSeries>>(series: &[S], block: usize) -> Self {
         match Self::try_with_block_size(series, block) {
             Ok(cache) => cache,
             Err(e) => panic!("{e}"),

@@ -4,7 +4,7 @@
 
 use ntc_dc::datacenter::{
     BackendSpec, CellStage, Engine, ExperimentSpec, FailurePolicy, FaultSpec, PolicySpec,
-    ServerSpec,
+    PredictorSpec, ServerSpec,
 };
 
 fn small_sweep() -> ExperimentSpec {
@@ -322,6 +322,98 @@ fn fault_injection_error_kind_reports_structured_error() {
     assert_eq!(failure.stage(), Some(CellStage::Setup));
     assert_eq!(failure.kind_label(), "error");
     assert!(failure.message().contains("injected fault in cell 2"));
+}
+
+/// One fleet under daily-retrained ARIMA, EPACT and COAT-OPT: both
+/// cells need every day's forecast, so on two workers they fill the
+/// shared days together. Cell 0 = EPACT, cell 1 = COAT-OPT.
+fn arima_sweep() -> ExperimentSpec {
+    let mut spec = ExperimentSpec::default_sweep();
+    spec.fleets[0].num_vms = 12;
+    spec.fleets[0].seed = 31;
+    spec.servers = vec![ServerSpec::Ntc];
+    spec.policies = vec![PolicySpec::Epact, PolicySpec::CoatOpt];
+    spec.predictor = PredictorSpec::Arima;
+    spec.max_servers = 150;
+    spec
+}
+
+#[test]
+fn shared_forecast_fill_is_bit_identical_to_sequential_and_uncached() {
+    let spec = arima_sweep();
+    let parallel = Engine::with_threads(2).run(&spec).expect("parallel run");
+    let sequential = Engine::with_threads(2)
+        .run_sequential(&spec)
+        .expect("sequential run");
+    let uncached = Engine::with_threads(2)
+        .caching(false)
+        .run(&spec)
+        .expect("uncached run");
+    assert!(parallel.is_complete());
+    assert_eq!(parallel.outcomes(), sequential.outcomes());
+    assert_eq!(parallel.outcomes(), uncached.outcomes());
+
+    // One miss per (fleet, day) however the two cells split the days;
+    // the other cell's lookups are hits. Uncached, each cell forecasts
+    // all seven days itself.
+    for run in [&parallel, &sequential] {
+        let totals = run.cache_totals();
+        assert_eq!(
+            (totals.forecast_misses, totals.forecast_hits),
+            (7, 7),
+            "{totals:?}"
+        );
+    }
+    let totals = uncached.cache_totals();
+    assert_eq!(
+        (totals.forecast_misses, totals.forecast_hits),
+        (14, 0),
+        "{totals:?}"
+    );
+}
+
+/// Faults `cell` of [`arima_sweep`] as it enters the forecast stage, on
+/// two workers, and checks the sibling against a clean run: it must
+/// complete every day on its own, bit for bit.
+fn assert_forecast_fault_isolated(cell: usize) {
+    let spec = arima_sweep();
+    let clean = Engine::with_threads(1)
+        .run_sequential(&spec)
+        .expect("clean run");
+    let faulted = Engine::with_threads(2)
+        .inject_fault(FaultSpec::panic_at(cell, CellStage::Forecast))
+        .run(&spec)
+        .expect("a faulted cell must not abort the sweep");
+    assert_eq!(faulted.total_cells(), 2);
+    assert_eq!(faulted.failed().len(), 1);
+    let failure = &faulted.failed()[0];
+    assert_eq!(failure.index, cell);
+    assert_eq!(failure.stage(), Some(CellStage::Forecast));
+
+    let survivor = &faulted.succeeded()[0];
+    let reference = &clean.cells[1 - cell];
+    assert_eq!(survivor.cell, reference.cell);
+    assert_eq!(survivor.outcome, reference.outcome);
+    assert_eq!(
+        survivor.outcome.total_energy().as_joules().to_bits(),
+        reference.outcome.total_energy().as_joules().to_bits()
+    );
+    // The faulted cell never claimed a series: the survivor forecast
+    // and completed all seven days itself.
+    assert_eq!(
+        (survivor.cache.forecast_misses, survivor.cache.forecast_hits),
+        (7, 0)
+    );
+}
+
+#[test]
+fn fault_injection_forecast_stage_isolates_the_replanning_cell() {
+    assert_forecast_fault_isolated(0);
+}
+
+#[test]
+fn fault_injection_forecast_stage_isolates_the_daily_cell() {
+    assert_forecast_fault_isolated(1);
 }
 
 #[test]

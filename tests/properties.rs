@@ -1,6 +1,7 @@
 //! Cross-crate property-based tests: allocation-policy and power-model
 //! invariants over randomized fleets and loads, plus the spec_json
-//! round trip over randomized experiment specs.
+//! round trip over randomized experiment specs and its error paths over
+//! truncated and arbitrary text.
 
 use ntc_dc::datacenter::{
     spec_json, BackendSpec, ExperimentSpec, FailurePolicy, FleetSpec, PolicySpec, PredictorSpec,
@@ -70,6 +71,42 @@ fn arb_spec() -> impl Strategy<Value = ExperimentSpec> {
             },
         )
 }
+
+/// Fragments of JSON and spec syntax (and a few multi-byte scalars)
+/// that random text is assembled from.
+const JSON_PIECES: [&str; 31] = [
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\\",
+    "\\n",
+    "\\u",
+    " ",
+    "\n",
+    "-",
+    ".",
+    "0",
+    "7",
+    "1e3",
+    "true",
+    "nul",
+    "false",
+    "\"fleets\"",
+    "\"fleet\"",
+    "\"num_vms\"",
+    "\"seed\"",
+    "\"policies\"",
+    "\"epact\"",
+    "\"max_servers\"",
+    "é",
+    "€",
+    "𝄞",
+    "\t",
+];
 
 fn vm_series(n_vms: usize, len: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.0f64..6.25, len), n_vms)
@@ -175,6 +212,35 @@ proptest! {
             Err(e) => panic!("reparse failed: {e}\n{text}"),
         };
         prop_assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn spec_json_rejects_every_truncation_of_a_spec(spec in arb_spec()) {
+        // Every proper prefix that stops before the closing brace is
+        // malformed, and must come back as an error, never a panic.
+        let text = spec_json::to_json(&spec);
+        let end = text.rfind('}').expect("a rendered spec is an object");
+        for (cut, _) in text.char_indices().take_while(|&(cut, _)| cut <= end) {
+            prop_assert!(spec_json::from_json(&text[..cut]).is_err(), "prefix {cut}");
+        }
+    }
+
+    #[test]
+    fn spec_json_never_panics_on_arbitrary_text(
+        picks in prop::collection::vec(0usize..JSON_PIECES.len(), 0..48),
+        spliced in arb_spec(),
+        at in 0.0f64..1.0,
+    ) {
+        // Random token soup, alone and spliced into a valid spec: any
+        // result is fine, as long as it is a result.
+        let soup: String = picks.iter().map(|&i| JSON_PIECES[i]).collect();
+        let _ = spec_json::from_json(&soup);
+        let text = spec_json::to_json(&spliced);
+        let mut cut = (text.len() as f64 * at) as usize;
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let _ = spec_json::from_json(&format!("{}{soup}{}", &text[..cut], &text[cut..]));
     }
 
     #[test]
