@@ -9,8 +9,6 @@
 //! module first matches each new server to the old server it inherited
 //! the most VMs from, then counts the VMs that actually moved.
 
-use std::collections::HashMap;
-
 use crate::SlotPlan;
 
 /// Number of VMs that must migrate to get from `prev` to `next`.
@@ -45,41 +43,110 @@ pub fn migration_count(prev: &SlotPlan, next: &SlotPlan) -> usize {
         "plans must cover the same fleet"
     );
 
-    // overlap[(new, old)] = number of shared VMs
-    let mut overlap: HashMap<(usize, usize), usize> = HashMap::new();
-    for (vm, (&new_s, &old_s)) in next
+    // One code per VM for its (new, old) server pair; code order is
+    // the pair's lexicographic order, so sorting groups equal pairs.
+    let old_servers = prev.num_servers();
+    assert!(
+        next.num_servers().checked_mul(old_servers).is_some(),
+        "server-pair codes must fit in usize"
+    );
+    let mut codes: Vec<usize> = next
         .assignments()
         .iter()
         .zip(prev.assignments())
-        .enumerate()
-    {
-        let _ = vm;
-        *overlap.entry((new_s, old_s)).or_insert(0) += 1;
-    }
+        .map(|(&new_s, &old_s)| new_s * old_servers + old_s)
+        .collect();
+    codes.sort_unstable();
 
-    // Greedy maximum matching by descending overlap.
-    let mut pairs: Vec<((usize, usize), usize)> = overlap.into_iter().collect();
-    pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut new_matched: HashMap<usize, usize> = HashMap::new();
-    let mut old_taken: Vec<bool> = vec![false; prev.num_servers()];
-    for ((new_s, old_s), _) in pairs {
-        if !new_matched.contains_key(&new_s) && !old_taken[old_s] {
-            new_matched.insert(new_s, old_s);
-            old_taken[old_s] = true;
+    // (overlap, code): the number of VMs each (new, old) pair shares.
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for &code in &codes {
+        match pairs.last_mut() {
+            Some((overlap, last)) if *last == code => *overlap += 1,
+            _ => pairs.push((1, code)),
         }
     }
 
-    next.assignments()
-        .iter()
-        .zip(prev.assignments())
-        .filter(|&(&new_s, &old_s)| new_matched.get(&new_s) != Some(&old_s))
-        .count()
+    // Greedy maximum matching by descending overlap, ties in (new, old)
+    // order; every VM of a matched pair stays in place.
+    pairs.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut new_matched = vec![false; next.num_servers()];
+    let mut old_taken = vec![false; old_servers];
+    let mut stayed = 0;
+    for (overlap, code) in pairs {
+        let (new_s, old_s) = (code / old_servers, code % old_servers);
+        if !new_matched[new_s] && !old_taken[old_s] {
+            new_matched[new_s] = true;
+            old_taken[old_s] = true;
+            stayed += overlap;
+        }
+    }
+    codes.len() - stayed
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use ntc_units::Frequency;
+    use proptest::prelude::*;
+
+    /// The hash-map matching `migration_count` replaced, kept as the
+    /// oracle its sort-based form must match exactly.
+    fn hashed_migration_count(prev: &SlotPlan, next: &SlotPlan) -> usize {
+        let mut overlap: HashMap<(usize, usize), usize> = HashMap::new();
+        for (&new_s, &old_s) in next.assignments().iter().zip(prev.assignments()) {
+            *overlap.entry((new_s, old_s)).or_insert(0) += 1;
+        }
+        let mut pairs: Vec<((usize, usize), usize)> = overlap.into_iter().collect();
+        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut new_matched: HashMap<usize, usize> = HashMap::new();
+        let mut old_taken: Vec<bool> = vec![false; prev.num_servers()];
+        for ((new_s, old_s), _) in pairs {
+            if !new_matched.contains_key(&new_s) && !old_taken[old_s] {
+                new_matched.insert(new_s, old_s);
+                old_taken[old_s] = true;
+            }
+        }
+        next.assignments()
+            .iter()
+            .zip(prev.assignments())
+            .filter(|&(&new_s, &old_s)| new_matched.get(&new_s) != Some(&old_s))
+            .count()
+    }
+
+    /// A plan over `raw.len()` VMs on `servers` servers.
+    fn random_plan(raw: &[usize], servers: usize) -> SlotPlan {
+        plan(raw.iter().map(|r| r % servers).collect(), servers)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn sort_count_matches_hashed_oracle(
+            raw in prop::collection::vec((0usize..1000, 0usize..1000), 1..60),
+            servers in (1usize..9, 1usize..9),
+        ) {
+            // Few servers per plan make overlap ties common; one-server
+            // plans and plans of different server counts come up often.
+            let (old_n, new_n) = servers;
+            let old: Vec<usize> = raw.iter().map(|r| r.0).collect();
+            let new: Vec<usize> = raw.iter().map(|r| r.1).collect();
+            let (a, b) = (random_plan(&old, old_n), random_plan(&new, new_n));
+            prop_assert_eq!(migration_count(&a, &b), hashed_migration_count(&a, &b));
+            prop_assert_eq!(migration_count(&b, &a), hashed_migration_count(&b, &a));
+
+            // A pure relabeling (rotate the server labels) is free.
+            let relabeled = plan(
+                a.assignments().iter().map(|s| (s + 1) % old_n).collect(),
+                old_n,
+            );
+            prop_assert_eq!(migration_count(&a, &relabeled), 0);
+            prop_assert_eq!(hashed_migration_count(&a, &relabeled), 0);
+        }
+    }
 
     fn plan(assignments: Vec<usize>, n: usize) -> SlotPlan {
         SlotPlan::new(

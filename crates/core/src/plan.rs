@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use ntc_power::ServerPowerModel;
 use ntc_trace::{CorrelationCache, DayCache, TimeSeries};
 use ntc_units::Frequency;
@@ -365,26 +367,45 @@ impl SlotPlan {
     }
 
     /// [`aggregate_per_server`](SlotPlan::aggregate_per_server) into a
-    /// caller-owned buffer, reusing its allocations — the form the
-    /// slot-replay hot loop of `ntc_datacenter::WeekSim` uses. `out` is
-    /// resized to `num_servers` and every entry reset before
-    /// accumulation.
+    /// caller-owned buffer, reusing its allocations. `out` is resized to
+    /// `num_servers` and every entry reset before accumulation.
     ///
     /// # Panics
     ///
     /// Panics if `series` is shorter than the assignment list.
     pub fn aggregate_per_server_into(&self, series: &[TimeSeries], out: &mut Vec<TimeSeries>) {
-        assert!(
-            series.len() >= self.assignments.len(),
-            "need one series per assigned VM"
+        self.aggregate_window_per_server_into(
+            series,
+            0..series.first().map_or(0, |s| s.len()),
+            out,
         );
-        let len = series.first().map_or(0, |s| s.len());
+    }
+
+    /// Per-server sums of the `window` of each VM's series, in place of
+    /// first copying every window out — the form the slot-replay hot
+    /// loop of `ntc_datacenter::WeekSim` uses over the fleet's traces.
+    /// `series` yields one series per VM in VM order. `out` is resized
+    /// to `num_servers`; each entry starts from zeros and adds its VMs
+    /// in ascending VM order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `series` yields fewer series than the assignment list
+    /// or `window` reaches outside one of them.
+    pub fn aggregate_window_per_server_into<'s>(
+        &self,
+        series: impl IntoIterator<Item = &'s TimeSeries>,
+        window: Range<usize>,
+        out: &mut Vec<TimeSeries>,
+    ) {
         out.resize_with(self.num_servers, || TimeSeries::zeros(0));
         for s in out.iter_mut() {
-            s.reset_zeros(len);
+            s.reset_zeros(window.len());
         }
-        for (vm, &s) in self.assignments.iter().enumerate() {
-            out[s].add_in_place(&series[vm]);
+        let mut series = series.into_iter();
+        for &s in &self.assignments {
+            let vm = series.next().expect("need one series per assigned VM");
+            out[s].add_window_in_place(vm, window.clone());
         }
     }
 }
@@ -411,6 +432,68 @@ pub trait AllocationPolicy: std::fmt::Debug {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The copy-then-aggregate replay the windowed aggregation replaced:
+    /// copy every VM's window out, then sum the copies per server from
+    /// zeros in VM order. Kept as the oracle for bit identity.
+    fn copied_window_aggregate(
+        plan: &SlotPlan,
+        series: &[TimeSeries],
+        window: Range<usize>,
+    ) -> Vec<TimeSeries> {
+        let mut copies = vec![TimeSeries::zeros(0); series.len()];
+        for (copy, s) in copies.iter_mut().zip(series) {
+            copy.copy_window_from(s, window.clone());
+        }
+        let mut sums = vec![vec![0.0; window.len()]; plan.num_servers()];
+        for (vm, &srv) in plan.assignments().iter().enumerate() {
+            for (acc, v) in sums[srv].iter_mut().zip(copies[vm].values()) {
+                *acc += v;
+            }
+        }
+        sums.into_iter().map(TimeSeries::from_values).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn windowed_aggregation_matches_copied_windows(
+            raw in prop::collection::vec(
+                (0usize..1000, prop::collection::vec(0.0f64..80.0, 24)),
+                1..40,
+            ),
+            servers in 1usize..8,
+            window in (0usize..24, 0usize..24),
+        ) {
+            let (a, b) = window;
+            let window = a.min(b)..a.max(b) + 1;
+            let plan = SlotPlan::new(
+                raw.iter().map(|r| r.0 % servers).collect(),
+                servers,
+                61.0,
+                100.0,
+                Frequency::from_ghz(1.9),
+                Frequency::from_mhz(100.0),
+                Frequency::from_ghz(3.1),
+            );
+            let series: Vec<TimeSeries> =
+                raw.into_iter().map(|r| TimeSeries::from_values(r.1)).collect();
+            let oracle = copied_window_aggregate(&plan, &series, window.clone());
+            // Reuse a dirty buffer of the wrong shape, as the replay does.
+            let mut out = vec![TimeSeries::constant(3, 7.0); servers + 2];
+            plan.aggregate_window_per_server_into(&series, window.clone(), &mut out);
+            prop_assert_eq!(out.len(), oracle.len());
+            for (got, want) in out.iter().zip(&oracle) {
+                let bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(got), bits(want));
+            }
+            // The full-series form is the same routine over 0..len.
+            plan.aggregate_per_server_into(&series, &mut out);
+            prop_assert_eq!(&out, &copied_window_aggregate(&plan, &series, 0..24));
+        }
+    }
 
     fn ctx_series(n: usize, v: f64) -> Vec<TimeSeries> {
         vec![TimeSeries::constant(4, v); n]

@@ -45,7 +45,7 @@ use std::sync::Mutex;
 use ntc_archsim::qos::QosBaseline;
 use ntc_archsim::{Kernel, Platform, ServerSim};
 use ntc_core::GovernedSample;
-use ntc_power::{ServerLoad, ServerPowerModel};
+use ntc_power::{OperatingPoint, ServerLoad, ServerPowerModel};
 use ntc_units::{Energy, Frequency, Percent, Seconds};
 use ntc_workload::MemClass;
 use serde::{Deserialize, Serialize};
@@ -187,12 +187,13 @@ impl SlotBackend for AnalyticBackend {
     fn account(&self, server: &ServerPowerModel, slot: &GovernedSlot) -> SlotAccounts {
         let mut acc = SlotAccounts::empty();
         let period = slot.sample_period();
+        let mut terms = server.operating_point(Frequency::ZERO);
         for (_, samples) in slot.servers() {
             for s in samples {
                 if s.demand_violated {
                     acc.violations += 1;
                 }
-                let p = server.power(s.freq, s.cpu_util, s.mem_util);
+                let p = reuse_point(&mut terms, server, s.freq).power(s.cpu_util, s.mem_util);
                 acc.energy += p * period;
                 acc.freq_sum_mhz += s.freq.as_mhz();
                 acc.freq_count += 1;
@@ -321,9 +322,21 @@ impl SlotBackend for ArchsimBackend {
     fn account(&self, server: &ServerPowerModel, slot: &GovernedSlot) -> SlotAccounts {
         let mut acc = SlotAccounts::empty();
         let period = slot.sample_period();
+        let mut terms = server.operating_point(Frequency::ZERO);
+        // The last (class, frequency) simulated, so the memo is locked
+        // only when a sample moves to a new operating point.
+        let mut last: Option<(MemClass, u64, SimPoint)> = None;
         for (class, samples) in slot.servers() {
             for s in samples {
-                let point = self.point(class, s.freq);
+                let bits = s.freq.as_mhz().to_bits();
+                let point = match last {
+                    Some((c, b, point)) if c == class && b == bits => point,
+                    _ => {
+                        let point = self.point(class, s.freq);
+                        last = Some((class, bits, point));
+                        point
+                    }
+                };
                 if s.demand_violated || !point.qos_met {
                     acc.violations += 1;
                 }
@@ -340,7 +353,7 @@ impl SlotBackend for ArchsimBackend {
                     llc_reads_per_sec: point.llc_accesses_per_sec * busy * 0.8,
                     llc_writes_per_sec: point.llc_accesses_per_sec * busy * 0.2,
                 };
-                let p = server.power_at(s.freq, &load);
+                let p = reuse_point(&mut terms, server, s.freq).power_at(&load);
                 acc.energy += p * period;
                 acc.freq_sum_mhz += s.freq.as_mhz();
                 acc.freq_count += 1;
@@ -348,6 +361,21 @@ impl SlotBackend for ArchsimBackend {
         }
         acc
     }
+}
+
+/// The power terms at `f`: `point` itself while it is already at `f`
+/// (by bit pattern), else a fresh point stored back into it. Governed
+/// samples run at a few discrete frequencies and consecutive samples
+/// mostly share one, so the frequency terms are rarely re-derived.
+fn reuse_point<'m>(
+    point: &mut OperatingPoint<'m>,
+    server: &'m ServerPowerModel,
+    f: Frequency,
+) -> OperatingPoint<'m> {
+    if point.freq().as_mhz().to_bits() != f.as_mhz().to_bits() {
+        *point = server.operating_point(f);
+    }
+    *point
 }
 
 /// Stable ordering of the memory classes by footprint, used both for
@@ -528,6 +556,62 @@ mod tests {
         assert_eq!(analytic.violations, 0);
         assert_eq!(archsim.violations, 1, "high-mem at fmin must miss QoS");
         assert!(archsim.energy > Energy::ZERO);
+    }
+
+    #[test]
+    fn archsim_reuse_matches_per_sample_pricing() {
+        // Servers of alternating classes whose samples hop between
+        // frequencies, and whose class changes at an unchanged frequency
+        // from one server to the next: reusing the last operating point
+        // and memo entry must price exactly as a fresh lookup per sample
+        // does.
+        let model = ServerPowerModel::ntc();
+        let gov = DvfsGovernor::new(&model);
+        let demands = [3.0, 3.0, 40.0, 41.0, 95.0, 12.0, 60.0, 3.0];
+        let classes = [MemClass::Low, MemClass::High, MemClass::High, MemClass::Mid];
+        let mut slot = GovernedSlot::new();
+        slot.reset(Seconds::new(300.0), demands.len());
+        for (i, &class) in classes.iter().enumerate() {
+            slot.push_server(class);
+            for &d in &demands {
+                let floor = (i == 3).then(|| Frequency::from_mhz(1400.0));
+                slot.push_sample(gov.govern_sample(d, 30.0, model.fmax(), model.fmin(), floor));
+            }
+        }
+        let backend = ArchsimBackend::ntc();
+        let mut want = SlotAccounts::empty();
+        for (class, samples) in slot.servers() {
+            for s in samples {
+                let point = backend.point(class, s.freq);
+                if s.demand_violated || !point.qos_met {
+                    want.violations += 1;
+                }
+                let busy = s.cpu_util.as_fraction();
+                let wfm = Percent::new(s.cpu_util.value() * point.wfm_fraction);
+                let load = ServerLoad {
+                    cpu_active: s.cpu_util - wfm,
+                    cpu_wfm: wfm,
+                    mem_active: s.mem_util,
+                    read_bytes_per_sec: point.read_bytes_per_sec * busy,
+                    llc_reads_per_sec: point.llc_accesses_per_sec * busy * 0.8,
+                    llc_writes_per_sec: point.llc_accesses_per_sec * busy * 0.2,
+                };
+                want.energy += model.power_at(s.freq, &load) * Seconds::new(300.0);
+                want.freq_sum_mhz += s.freq.as_mhz();
+                want.freq_count += 1;
+            }
+        }
+        let got = backend.account(&model, &slot);
+        assert_eq!(got.violations, want.violations);
+        assert_eq!(
+            got.energy.as_joules().to_bits(),
+            want.energy.as_joules().to_bits()
+        );
+        assert_eq!(got.freq_sum_mhz.to_bits(), want.freq_sum_mhz.to_bits());
+        assert!(
+            got.violations > 0,
+            "the high-mem servers at low levels miss QoS"
+        );
     }
 
     #[test]

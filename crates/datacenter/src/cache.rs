@@ -317,6 +317,27 @@ impl PlanCache {
         &self.groups[self.by_cell[cell_index]]
     }
 
+    /// The order a sweep's workers claim cells in: first every group's
+    /// leader (its first spec-order cell), in group order, then every
+    /// other cell in spec order. Leaders plan their groups' slots, so
+    /// claiming them first starts every group's planning as early as
+    /// possible instead of parking workers on followers that would wait
+    /// for a leader's plan locks.
+    pub fn claim_order(&self) -> Vec<usize> {
+        let mut led = vec![false; self.groups.len()];
+        let (mut leaders, mut followers) = (Vec::new(), Vec::new());
+        for (cell, &group) in self.by_cell.iter().enumerate() {
+            if led[group] {
+                followers.push(cell);
+            } else {
+                led[group] = true;
+                leaders.push(cell);
+            }
+        }
+        leaders.append(&mut followers);
+        leaders
+    }
+
     /// Number of distinct plan groups (for diagnostics/tests).
     #[cfg(test)]
     pub fn num_groups(&self) -> usize {
@@ -423,6 +444,30 @@ mod tests {
         let cache = PlanCache::new(&spec, &cells);
         assert_eq!(cells.len(), 9);
         assert_eq!(cache.num_groups(), 3);
+    }
+
+    #[test]
+    fn claim_order_puts_group_leaders_first() {
+        // 3 floors x 3 policies: the first floor's cells 0..3 already
+        // lead the three policy groups, so the order is spec order.
+        let mut spec = spec_with_scales(vec![1.0]);
+        spec.qos_floors_mhz = vec![None, Some(1200.0), Some(1800.0)];
+        let cells = spec.cells();
+        let cache = PlanCache::new(&spec, &cells);
+        assert_eq!(cache.claim_order(), (0..9).collect::<Vec<_>>());
+
+        // 2 fleets x 3 floors x 2 policies, fleet-major: fleet 1's
+        // leaders (cells 6 and 7) move ahead of fleet 0's followers.
+        spec.policies = vec![PolicySpec::Epact, PolicySpec::Coat];
+        let fleet = spec.fleets[0];
+        spec.fleets = vec![fleet, FleetSpec { seed: 99, ..fleet }];
+        let cells = spec.cells();
+        let cache = PlanCache::new(&spec, &cells);
+        assert_eq!(cache.num_groups(), 4);
+        assert_eq!(
+            cache.claim_order(),
+            vec![0, 1, 6, 7, 2, 3, 4, 5, 8, 9, 10, 11]
+        );
     }
 
     #[test]

@@ -594,11 +594,23 @@ impl FleetCache {
 
 /// Parallel experiment runner over [`ExperimentSpec`] cells.
 ///
-/// Cells are pulled off a shared atomic counter by `threads` scoped
-/// workers and written into their spec-order slots, so results are
-/// bit-identical however the cells are scheduled (including
-/// [`Engine::run_sequential`]). Each cell runs under `catch_unwind`;
-/// see [`SweepResult::failed`] and the [`fault`](crate::fault) module.
+/// `threads` scoped workers claim cells one at a time off a shared
+/// atomic cursor into a fixed claim order, and write each result into
+/// its spec-order slot, so results are bit-identical however the cells
+/// are scheduled (including [`Engine::run_sequential`]).
+///
+/// With caching on, the claim order is *leaders first*: the first
+/// spec-order cell of every plan group, then all other cells in spec
+/// order. Each group's planning thus starts as early as it can, and no
+/// worker idles behind a leader's plan locks while another group waits
+/// unplanned. The order is a pure function of the spec; on one worker
+/// every group's plan misses fall on its leader. With caching off
+/// there are no groups and cells are claimed in spec order. Under
+/// [`FailurePolicy::FailFast`] the cells skipped after a failure are
+/// the ones later in the claim order.
+///
+/// Each cell runs under `catch_unwind`; see [`SweepResult::failed`]
+/// and the [`fault`](crate::fault) module.
 #[derive(Debug, Clone)]
 pub struct Engine {
     threads: usize,
@@ -720,6 +732,10 @@ impl Engine {
         };
 
         let workers = threads.min(cells.len()).max(1);
+        let order = caches
+            .plans
+            .as_ref()
+            .map_or_else(|| (0..cells.len()).collect(), PlanCache::claim_order);
         let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         // OnceLock slots are poison-free by construction: a worker
@@ -734,11 +750,11 @@ impl Engine {
         };
 
         if workers == 1 {
-            drain_cells(&next, &cells, &slots, spec, &caches, &run);
+            drain_cells(&next, &order, &cells, &slots, spec, &caches, &run);
         } else {
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| drain_cells(&next, &cells, &slots, spec, &caches, &run));
+                    scope.spawn(|| drain_cells(&next, &order, &cells, &slots, spec, &caches, &run));
                 }
             });
         }
@@ -783,8 +799,8 @@ struct RunControl<'a> {
     abort: &'a AtomicBool,
 }
 
-/// Worker body: claim cell indices off the shared counter until none
-/// remain, writing each cell's `Result` into its spec-order slot.
+/// Worker body: claim cells off the shared cursor into `order` until
+/// none remain, writing each cell's `Result` into its spec-order slot.
 ///
 /// Each cell runs under `catch_unwind`: a panic becomes a
 /// [`CellError`] attributed to the stage the worker's thread-local
@@ -795,15 +811,15 @@ struct RunControl<'a> {
 /// finish normally.
 fn drain_cells(
     next: &AtomicUsize,
+    order: &[usize],
     cells: &[CellSpec],
     slots: &[OnceLock<Result<CellOutcome, CellError>>],
     spec: &ExperimentSpec,
     caches: &SweepCaches,
     run: &RunControl<'_>,
 ) {
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(cell) = cells.get(i) else { break };
+    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+        let cell = &cells[i];
         let result = if run.abort.load(Ordering::Relaxed) {
             Err(CellError::new(
                 i,

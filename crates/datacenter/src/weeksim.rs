@@ -275,7 +275,6 @@ impl<'a> WeekSim<'a> {
         let sps = grid.samples_per_slot();
         let slots = self.eval_slots();
         let slots_per_day = grid.samples_per_day() / sps;
-        let n_vms = self.fleet.len();
         let governor = DvfsGovernor::new(&self.server);
 
         let mut stats = CacheStats::default();
@@ -288,10 +287,7 @@ impl<'a> WeekSim<'a> {
         let mut migrations_this_slot;
 
         // Slot-replay buffers, reused across all 168 slots instead of
-        // reallocating per-VM windows and per-server aggregates each
-        // iteration.
-        let mut actual_cpu: Vec<TimeSeries> = vec![TimeSeries::zeros(0); n_vms];
-        let mut actual_mem: Vec<TimeSeries> = vec![TimeSeries::zeros(0); n_vms];
+        // reallocating per-server aggregates each iteration.
         let mut per_server_cpu: Vec<TimeSeries> = Vec::new();
         let mut per_server_mem: Vec<TimeSeries> = Vec::new();
         let mut occupancy: Vec<bool> = Vec::new();
@@ -341,16 +337,21 @@ impl<'a> WeekSim<'a> {
             }
             let plan = current_plan.as_deref().expect("plan set at period start");
 
-            // Replay the slot with the actual traces, recycling the
-            // window and aggregate buffers hoisted above.
-            for (buf, vm) in actual_cpu.iter_mut().zip(self.fleet.vms()) {
-                buf.copy_window_from(&vm.cpu, range.clone());
-            }
-            for (buf, vm) in actual_mem.iter_mut().zip(self.fleet.vms()) {
-                buf.copy_window_from(&vm.mem, range.clone());
-            }
-            plan.aggregate_per_server_into(&actual_cpu, &mut per_server_cpu);
-            plan.aggregate_per_server_into(&actual_mem, &mut per_server_mem);
+            // Replay the slot with the actual traces: each VM's slot
+            // window of the fleet trace is summed straight into its
+            // server's buffer (no per-VM window copies), from zeros in
+            // ascending VM order.
+            let vms = self.fleet.vms();
+            plan.aggregate_window_per_server_into(
+                vms.iter().map(|vm| &vm.cpu),
+                range.clone(),
+                &mut per_server_cpu,
+            );
+            plan.aggregate_window_per_server_into(
+                vms.iter().map(|vm| &vm.mem),
+                range,
+                &mut per_server_mem,
+            );
 
             // Stage 3 — govern: settle every active server-sample's
             // operating point in server-major, sample-minor order.

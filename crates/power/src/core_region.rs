@@ -119,7 +119,11 @@ impl CoreRegionModel {
 
     /// Dynamic power of one fully active core at frequency `f`.
     pub fn dynamic_per_core(&self, f: Frequency) -> Power {
-        let v = self.vf.voltage_at(f);
+        self.dynamic_at(f, self.vf.voltage_at(f))
+    }
+
+    /// Dynamic power of one fully active core at `f`, supplied at `v`.
+    fn dynamic_at(&self, f: Frequency, v: Voltage) -> Power {
         Power::from_watts(self.ceff_farads * v.squared() * f.as_hz())
     }
 
@@ -149,14 +153,30 @@ impl CoreRegionModel {
     ///
     /// Panics if `active + wfm` exceeds 100%.
     pub fn power(&self, f: Frequency, active: Percent, wfm: Percent) -> Power {
+        self.terms(f, self.vf.voltage_at(f)).power(active, wfm)
+    }
+
+    /// The frequency-only part of [`power`](Self::power) at `f`, whose
+    /// supply voltage `v` the caller has already looked up.
+    pub(crate) fn terms(&self, f: Frequency, v: Voltage) -> CoreTerms {
+        let n = self.num_cores as f64;
+        CoreTerms {
+            dynamic: n * self.dynamic_at(f, v).as_watts(),
+            leakage: n * self.leakage_at_voltage(v).as_watts(),
+            wfm_scale: 1.0 - self.wfm_discount,
+        }
+    }
+
+    /// The one-shot core-region formula [`power`](Self::power) used
+    /// before it was split into [`CoreTerms`]; the bit-identity oracle.
+    #[cfg(test)]
+    pub(crate) fn one_shot_power(&self, f: Frequency, active: Percent, wfm: Percent) -> Power {
         let a = active.as_fraction();
         let w = wfm.as_fraction();
-        assert!(
-            a + w <= 1.0 + 1e-9,
-            "active ({a:.3}) + WFM ({w:.3}) fractions exceed 1"
-        );
-        let dyn_one = self.dynamic_per_core(f).as_watts();
-        let leak_one = self.leakage_per_core(f).as_watts();
+        let v = self.vf.voltage_at(f);
+        let dyn_one = self.ceff_farads * v.squared() * f.as_hz();
+        let leak_one =
+            v.as_volts() * (self.leak_i0_amps * (v.as_volts() / self.leak_v0_volts).exp());
         let n = self.num_cores as f64;
         let dynamic = n * dyn_one * (a + w * (1.0 - self.wfm_discount));
         Power::from_watts(dynamic + n * leak_one)
@@ -171,6 +191,34 @@ impl CoreRegionModel {
     /// The WFM discount factor (0.24 in the paper).
     pub fn wfm_discount(&self) -> f64 {
         self.wfm_discount
+    }
+}
+
+/// [`CoreRegionModel::power`] split at the operating point: the
+/// chip-wide dynamic watts at full activity (`n × P_dyn`), the chip-wide
+/// leakage (`n × P_leak`) and the WFM scale `1 − discount`, each
+/// computed by the same operations as the one-shot formula.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CoreTerms {
+    dynamic: f64,
+    leakage: f64,
+    wfm_scale: f64,
+}
+
+impl CoreTerms {
+    /// Core-region power at these terms for the given activity split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `active + wfm` exceeds 100%.
+    pub(crate) fn power(&self, active: Percent, wfm: Percent) -> Power {
+        let a = active.as_fraction();
+        let w = wfm.as_fraction();
+        assert!(
+            a + w <= 1.0 + 1e-9,
+            "active ({a:.3}) + WFM ({w:.3}) fractions exceed 1"
+        );
+        Power::from_watts(self.dynamic * (a + w * self.wfm_scale) + self.leakage)
     }
 }
 

@@ -54,5 +54,5 @@ pub use datacenter::DataCenterPowerModel;
 pub use dram::DramModel;
 pub use fdsoi::VfCurve;
 pub use llc::LlcModel;
-pub use server::{PowerBreakdown, ServerLoad, ServerPowerModel};
+pub use server::{OperatingPoint, PowerBreakdown, ServerLoad, ServerPowerModel};
 pub use uncore::UncoreModel;

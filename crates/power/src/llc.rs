@@ -117,20 +117,67 @@ impl LlcModel {
     /// Dynamic power from `reads_per_sec` and `writes_per_sec` 128-bit
     /// accesses at supply voltage `v` (access energy scales with `V²`).
     pub fn dynamic(&self, v: Voltage, reads_per_sec: f64, writes_per_sec: f64) -> Power {
-        assert!(
-            reads_per_sec >= 0.0 && writes_per_sec >= 0.0,
-            "access rates must be non-negative"
-        );
-        let vscale = (v.as_volts() / self.ref_voltage.as_volts()).powi(2);
-        let watts = (self.read_energy.as_joules() * reads_per_sec
-            + self.write_energy.as_joules() * writes_per_sec)
-            * vscale;
-        Power::from_watts(watts)
+        self.terms(v).dynamic(reads_per_sec, writes_per_sec)
     }
 
     /// Total LLC power for a given access mix.
     pub fn power(&self, v: Voltage, reads_per_sec: f64, writes_per_sec: f64) -> Power {
-        self.leakage(v) + self.dynamic(v, reads_per_sec, writes_per_sec)
+        self.terms(v).power(reads_per_sec, writes_per_sec)
+    }
+
+    /// The one-shot LLC formula [`power`](Self::power) used before it
+    /// was split into [`LlcTerms`]; the bit-identity oracle.
+    #[cfg(test)]
+    pub(crate) fn one_shot_power(&self, v: Voltage, reads: f64, writes: f64) -> Power {
+        let ratio = v.as_volts() / self.ref_voltage.as_volts();
+        let leakage = self.block_leak_ref_watts * self.num_blocks() as f64 * ratio.powi(3);
+        let dynamic = (self.read_energy.as_joules() * reads
+            + self.write_energy.as_joules() * writes)
+            * ratio.powi(2);
+        Power::from_watts(leakage) + Power::from_watts(dynamic)
+    }
+
+    /// The voltage-only part of [`power`](Self::power) at `v`.
+    pub(crate) fn terms(&self, v: Voltage) -> LlcTerms {
+        LlcTerms {
+            leakage: self.leakage(v),
+            vscale: (v.as_volts() / self.ref_voltage.as_volts()).powi(2),
+            read_joules: self.read_energy.as_joules(),
+            write_joules: self.write_energy.as_joules(),
+        }
+    }
+}
+
+/// [`LlcModel::power`] split at the supply voltage: the whole-LLC
+/// leakage and the `V²` access-energy scale, with the per-access
+/// energies the access mix is priced at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LlcTerms {
+    leakage: Power,
+    vscale: f64,
+    read_joules: f64,
+    write_joules: f64,
+}
+
+impl LlcTerms {
+    /// Dynamic power of the given access mix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either access rate is negative.
+    pub(crate) fn dynamic(&self, reads_per_sec: f64, writes_per_sec: f64) -> Power {
+        assert!(
+            reads_per_sec >= 0.0 && writes_per_sec >= 0.0,
+            "access rates must be non-negative"
+        );
+        let watts =
+            (self.read_joules * reads_per_sec + self.write_joules * writes_per_sec) * self.vscale;
+        Power::from_watts(watts)
+    }
+
+    /// Leakage plus the dynamic power of the given access mix.
+    pub(crate) fn power(&self, reads_per_sec: f64, writes_per_sec: f64) -> Power {
+        self.leakage + self.dynamic(reads_per_sec, writes_per_sec)
     }
 }
 

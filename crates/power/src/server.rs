@@ -1,6 +1,8 @@
 use ntc_units::{Frequency, Percent, Power};
 use serde::{Deserialize, Serialize};
 
+use crate::core_region::CoreTerms;
+use crate::llc::LlcTerms;
 use crate::{CoreRegionModel, DramModel, LlcModel, UncoreModel};
 
 /// The activity vector of one server at one instant.
@@ -228,20 +230,12 @@ impl ServerPowerModel {
 
     /// Full power evaluation for an explicit [`ServerLoad`].
     pub fn power_at(&self, f: Frequency, load: &ServerLoad) -> Power {
-        self.breakdown(f, load).total()
+        self.operating_point(f).power_at(load)
     }
 
     /// Per-component power for an explicit [`ServerLoad`].
     pub fn breakdown(&self, f: Frequency, load: &ServerLoad) -> PowerBreakdown {
-        let v = self.cores.vf_curve().voltage_at(f);
-        PowerBreakdown {
-            cores: self.cores.power(f, load.cpu_active, load.cpu_wfm),
-            llc: self
-                .llc
-                .power(v, load.llc_reads_per_sec, load.llc_writes_per_sec),
-            uncore: self.uncore.power(f),
-            dram: self.dram.power(load.mem_active, load.read_bytes_per_sec),
-        }
+        self.operating_point(f).breakdown(load)
     }
 
     /// Convenience power evaluation from the two utilization numbers the
@@ -251,13 +245,21 @@ impl ServerPowerModel {
     /// Memory utilization drives both the DRAM bank-active fraction and a
     /// proportional read stream, and couples back into core WFM stalls.
     pub fn power(&self, f: Frequency, cpu_util: Percent, mem_util: Percent) -> Power {
-        let load = ServerLoad::mixed(
-            cpu_util,
-            self.wfm_per_mem * mem_util.as_fraction().min(1.0),
-            mem_util,
-            self.peak_read_bw,
-        );
-        self.power_at(f, &load)
+        self.operating_point(f).power(cpu_util, mem_util)
+    }
+
+    /// The power terms that depend only on the frequency `f`, for
+    /// pricing many loads at one operating point; see
+    /// [`OperatingPoint`].
+    pub fn operating_point(&self, f: Frequency) -> OperatingPoint<'_> {
+        let v = self.cores.vf_curve().voltage_at(f);
+        OperatingPoint {
+            model: self,
+            freq: f,
+            cores: self.cores.terms(f, v),
+            llc: self.llc.terms(v),
+            uncore: self.uncore.power(f),
+        }
     }
 
     /// Power of an idle-but-on server at its lowest operating point.
@@ -271,9 +273,168 @@ impl ServerPowerModel {
     }
 }
 
+/// One operating point of a [`ServerPowerModel`]: every power term that
+/// depends only on the frequency, computed once from one supply-voltage
+/// lookup — the chip-wide core dynamic and leakage watts, the LLC
+/// leakage and `V²` access scale, and the uncore power.
+///
+/// Exact op order: each term is computed by the same operations as the
+/// per-sample formula, and pricing a load then runs the remaining
+/// load-dependent operations on the same values in the same order, so
+/// a point prices every load bit-identically however often it is
+/// reused. [`ServerPowerModel::power`], [`power_at`](ServerPowerModel::power_at)
+/// and [`breakdown`](ServerPowerModel::breakdown) are one-shot
+/// delegations to it; accounting loops keep one point while
+/// consecutive samples share a frequency.
+///
+/// # Examples
+///
+/// ```
+/// use ntc_power::{ServerLoad, ServerPowerModel};
+/// use ntc_units::{Frequency, Percent};
+///
+/// let ntc = ServerPowerModel::ntc();
+/// let f = Frequency::from_ghz(1.9);
+/// let point = ntc.operating_point(f);
+/// for cpu in [10.0, 55.0, 90.0] {
+///     let load = ServerLoad::cpu_bound(Percent::new(cpu));
+///     assert_eq!(point.power_at(&load), ntc.power_at(f, &load));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct OperatingPoint<'a> {
+    model: &'a ServerPowerModel,
+    freq: Frequency,
+    cores: CoreTerms,
+    llc: LlcTerms,
+    uncore: Power,
+}
+
+impl OperatingPoint<'_> {
+    /// The frequency this point prices loads at.
+    pub fn freq(&self) -> Frequency {
+        self.freq
+    }
+
+    /// Per-component power for an explicit [`ServerLoad`].
+    pub fn breakdown(&self, load: &ServerLoad) -> PowerBreakdown {
+        PowerBreakdown {
+            cores: self.cores.power(load.cpu_active, load.cpu_wfm),
+            llc: self
+                .llc
+                .power(load.llc_reads_per_sec, load.llc_writes_per_sec),
+            uncore: self.uncore,
+            dram: self
+                .model
+                .dram
+                .power(load.mem_active, load.read_bytes_per_sec),
+        }
+    }
+
+    /// Full power for an explicit [`ServerLoad`].
+    pub fn power_at(&self, load: &ServerLoad) -> Power {
+        self.breakdown(load).total()
+    }
+
+    /// Power from CPU and memory utilization, as
+    /// [`ServerPowerModel::power`].
+    pub fn power(&self, cpu_util: Percent, mem_util: Percent) -> Power {
+        let model = self.model;
+        let load = ServerLoad::mixed(
+            cpu_util,
+            model.wfm_per_mem * mem_util.as_fraction().min(1.0),
+            mem_util,
+            model.peak_read_bw,
+        );
+        self.power_at(&load)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DataCenterPowerModel;
+    use proptest::prelude::*;
+
+    /// The per-sample breakdown before the operating-point split: every
+    /// call re-derives the voltage and every frequency term. Kept as the
+    /// oracle the delegating methods must match bit for bit.
+    fn one_shot_breakdown(m: &ServerPowerModel, f: Frequency, load: &ServerLoad) -> PowerBreakdown {
+        let v = m.cores.vf_curve().voltage_at(f);
+        PowerBreakdown {
+            cores: m.cores.one_shot_power(f, load.cpu_active, load.cpu_wfm),
+            llc: m
+                .llc
+                .one_shot_power(v, load.llc_reads_per_sec, load.llc_writes_per_sec),
+            uncore: m.uncore.power(f),
+            dram: m.dram.power(load.mem_active, load.read_bytes_per_sec),
+        }
+    }
+
+    fn breakdown_bits(b: &PowerBreakdown) -> [u64; 4] {
+        [b.cores, b.llc, b.uncore, b.dram].map(|p| p.as_watts().to_bits())
+    }
+
+    /// Every frequency the accounting can price on `m`: the DVFS levels,
+    /// the QoS floors off the level grid, `F_NTC_opt`, and frequencies
+    /// below `fmin` and above `fmax` that hit the clamps.
+    fn priced_frequencies(m: &ServerPowerModel) -> Vec<Frequency> {
+        let mut fs = m.dvfs_levels();
+        fs.extend([1000.0, 1400.0, 50.0, 150.0, 2450.0, 3200.0, 5000.0].map(Frequency::from_mhz));
+        fs.push(DataCenterPowerModel::new(m.clone(), 80).ntc_optimal_frequency());
+        fs.push(m.fmin() * 0.5);
+        fs.push(m.fmax() * 1.25);
+        fs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn operating_point_matches_one_shot_formula(
+            cpu in 0.0f64..130.0,
+            mem in 0.0f64..130.0,
+            wfm_share in 0.0f64..1.0,
+            off_grid_mhz in 10.0f64..4000.0,
+            traffic in (0.0f64..3.0e10, 0.0f64..2.0e9, 0.0f64..5.0e8),
+        ) {
+            for m in [ServerPowerModel::ntc(), ServerPowerModel::conventional_e5_2620()] {
+                let (cpu_u, mem_u) = (Percent::new(cpu), Percent::new(mem));
+                let busy = cpu.min(100.0);
+                let load = ServerLoad {
+                    cpu_active: Percent::new(busy * (1.0 - wfm_share)),
+                    cpu_wfm: Percent::new(busy * wfm_share * 0.999),
+                    mem_active: mem_u,
+                    read_bytes_per_sec: traffic.0,
+                    llc_reads_per_sec: traffic.1,
+                    llc_writes_per_sec: traffic.2,
+                };
+                let mixed = ServerLoad::mixed(
+                    cpu_u,
+                    m.wfm_per_mem * mem_u.as_fraction().min(1.0),
+                    mem_u,
+                    m.peak_read_bw,
+                );
+                let mut fs = priced_frequencies(&m);
+                fs.push(Frequency::from_mhz(off_grid_mhz));
+                for f in fs {
+                    let point = m.operating_point(f);
+                    for l in [&load, &mixed] {
+                        let want = one_shot_breakdown(&m, f, l);
+                        prop_assert_eq!(breakdown_bits(&m.breakdown(f, l)), breakdown_bits(&want));
+                        prop_assert_eq!(breakdown_bits(&point.breakdown(l)), breakdown_bits(&want));
+                        prop_assert_eq!(
+                            m.power_at(f, l).as_watts().to_bits(),
+                            want.total().as_watts().to_bits()
+                        );
+                    }
+                    let want = one_shot_breakdown(&m, f, &mixed).total().as_watts().to_bits();
+                    prop_assert_eq!(m.power(f, cpu_u, mem_u).as_watts().to_bits(), want);
+                    prop_assert_eq!(point.power(cpu_u, mem_u).as_watts().to_bits(), want);
+                }
+            }
+        }
+    }
 
     #[test]
     fn ntc_magnitudes_match_fig1a() {

@@ -148,14 +148,27 @@ impl TimeSeries {
     ///
     /// Panics if lengths differ.
     pub fn add_in_place(&mut self, other: &TimeSeries) {
+        self.add_window_in_place(other, 0..other.len());
+    }
+
+    /// Adds `source[range]` into `self` in place — the copy-free form of
+    /// `self.add_in_place(&source.window(range))`, same sums in the
+    /// same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds for `source` or its length
+    /// differs from `self`'s.
+    pub fn add_window_in_place(&mut self, source: &TimeSeries, range: Range<usize>) {
+        let window = &source.values[range];
         assert_eq!(
             self.len(),
-            other.len(),
+            window.len(),
             "series length mismatch: {} vs {}",
             self.len(),
-            other.len()
+            window.len()
         );
-        for (a, b) in self.values.iter_mut().zip(&other.values) {
+        for (a, b) in self.values.iter_mut().zip(window) {
             *a += b;
         }
     }
@@ -402,6 +415,16 @@ mod tests {
         assert_eq!(dst, src.window(2..5));
         dst.copy_window_from(&src, 0..2);
         assert_eq!(dst, src.window(0..2));
+    }
+
+    #[test]
+    fn add_window_matches_adding_the_copied_window() {
+        let src = ts(&[0.5, 1.25, 2.0, 3.5, 4.0]);
+        let mut copied = ts(&[1.0, 2.0, 3.0]);
+        let mut windowed = copied.clone();
+        copied.add_in_place(&src.window(1..4));
+        windowed.add_window_in_place(&src, 1..4);
+        assert_eq!(copied, windowed);
     }
 
     #[test]

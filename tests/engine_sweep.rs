@@ -4,7 +4,7 @@
 
 use ntc_dc::datacenter::{
     BackendSpec, CellStage, Engine, ExperimentSpec, FailurePolicy, FaultSpec, PolicySpec,
-    PredictorSpec, ServerSpec,
+    PredictorSpec, ServerSpec, SweepResult,
 };
 
 fn small_sweep() -> ExperimentSpec {
@@ -414,6 +414,153 @@ fn fault_injection_forecast_stage_isolates_the_replanning_cell() {
 #[test]
 fn fault_injection_forecast_stage_isolates_the_daily_cell() {
     assert_forecast_fault_isolated(1);
+}
+
+/// The QoS-floor study in small: 1 fleet x floors {none, 1200, 1800}
+/// MHz x {analytic, archsim} x {EPACT, LOAD-BAL} = 12 cells in two plan
+/// groups, one per policy. Cell order (floor, then backend, then
+/// policy): cell 0 leads the EPACT group and cell 1 the LOAD-BAL group;
+/// every other cell follows one of them.
+fn floor_sweep() -> ExperimentSpec {
+    let mut spec = ExperimentSpec::default_sweep();
+    spec.fleets[0].num_vms = 16;
+    spec.fleets[0].seed = 41;
+    spec.servers = vec![ServerSpec::Ntc];
+    spec.qos_floors_mhz = vec![None, Some(1200.0), Some(1800.0)];
+    spec.backends = vec![BackendSpec::Analytic, BackendSpec::Archsim];
+    spec.policies = vec![PolicySpec::Epact, PolicySpec::LoadBalance];
+    spec.max_servers = 150;
+    spec
+}
+
+/// Every per-slot output of every successful cell of `spec`'s sweep as
+/// raw bits, keyed by spec-order index: energy and frequencies by
+/// `to_bits`, the counters as they are.
+fn outcome_bits(spec: &ExperimentSpec, sweep: &SweepResult) -> Vec<(usize, Vec<[u64; 6]>)> {
+    let cells = sweep.cells.iter().map(|c| {
+        let slots = c.outcome.slots.iter().map(|s| {
+            [
+                s.energy.as_joules().to_bits(),
+                s.planned_freq.as_mhz().to_bits(),
+                s.mean_freq.as_mhz().to_bits(),
+                s.violations as u64,
+                s.active_servers as u64,
+                s.migrations as u64,
+            ]
+        });
+        (c.cell, slots.collect())
+    });
+    let spec_cells = spec.cells();
+    cells
+        .map(|(cell, slots)| {
+            let index = spec_cells.iter().position(|c| *c == cell);
+            (index.expect("cell of the spec"), slots)
+        })
+        .collect()
+}
+
+#[test]
+fn leaders_first_claiming_is_bit_identical_on_the_floor_sweep() {
+    let spec = floor_sweep();
+    let sequential = Engine::with_threads(4)
+        .run_sequential(&spec)
+        .expect("sequential run");
+    let uncached = Engine::with_threads(4)
+        .caching(false)
+        .run(&spec)
+        .expect("uncached run");
+    assert_eq!(sequential.cells.len(), 12);
+    let reference = outcome_bits(&spec, &sequential);
+    assert_eq!(outcome_bits(&spec, &uncached), reference, "uncached");
+    // Both plan groups replan every slot: 168 misses each, and the
+    // other five cells of a group hit.
+    let totals = sequential.cache_totals();
+    assert_eq!((totals.plan_misses, totals.plan_hits), (336, 1680));
+    for threads in [2, 4] {
+        let parallel = Engine::with_threads(threads).run(&spec).expect("run");
+        assert!(parallel.is_complete());
+        assert_eq!(
+            outcome_bits(&spec, &parallel),
+            reference,
+            "{threads} workers"
+        );
+        let totals = parallel.cache_totals();
+        assert_eq!(
+            (totals.plan_misses, totals.plan_hits),
+            (336, 1680),
+            "{threads} workers"
+        );
+    }
+}
+
+#[test]
+fn one_worker_plans_each_group_on_its_leader() {
+    let sweep = Engine::with_threads(1)
+        .run(&floor_sweep())
+        .expect("sequential run");
+    for (index, cell) in sweep.cells.iter().enumerate() {
+        let (misses, hits) = (cell.cache.plan_misses, cell.cache.plan_hits);
+        if index < 2 {
+            assert_eq!((misses, hits), (168, 0), "leader {index}");
+        } else {
+            assert_eq!((misses, hits), (0, 168), "follower {index}");
+        }
+    }
+}
+
+/// Faults `cell` of [`floor_sweep`] at `stage` under `policy` on two
+/// workers: it must fail alone or with skipped siblings, and every
+/// cell that completes must match a clean run bit for bit.
+fn assert_floor_fault_isolated(cell: usize, stage: CellStage, policy: FailurePolicy) {
+    let mut spec = floor_sweep();
+    let clean = outcome_bits(
+        &spec,
+        &Engine::with_threads(1).run(&spec).expect("clean run"),
+    );
+    spec.failure_policy = policy;
+    let faulted = Engine::with_threads(2)
+        .inject_fault(FaultSpec::panic_at(cell, stage))
+        .run(&spec)
+        .expect("a faulted cell must not abort the sweep");
+    assert_eq!(faulted.total_cells(), 12);
+    let panicked: Vec<_> = faulted
+        .failed()
+        .iter()
+        .filter(|f| f.kind_label() != "skipped")
+        .collect();
+    assert_eq!(panicked.len(), 1, "{policy:?}");
+    assert_eq!(panicked[0].index, cell);
+    assert_eq!(panicked[0].stage(), Some(stage));
+    if policy == FailurePolicy::KeepGoing {
+        assert_eq!(faulted.failed().len(), 1);
+    }
+    for (index, bits) in outcome_bits(&spec, &faulted) {
+        assert_ne!(index, cell);
+        assert_eq!(bits, clean[index].1, "survivor {index} under {policy:?}");
+    }
+}
+
+#[test]
+fn fault_injection_floor_sweep_leader_keep_going() {
+    // The EPACT leader dies before planning slot 0: a follower must
+    // plan the group instead, with the same bits.
+    assert_floor_fault_isolated(0, CellStage::Plan, FailurePolicy::KeepGoing);
+}
+
+#[test]
+fn fault_injection_floor_sweep_leader_fail_fast() {
+    assert_floor_fault_isolated(0, CellStage::Plan, FailurePolicy::FailFast);
+}
+
+#[test]
+fn fault_injection_floor_sweep_follower_keep_going() {
+    // An archsim follower under the 1800 MHz floor dies while pricing.
+    assert_floor_fault_isolated(10, CellStage::Account, FailurePolicy::KeepGoing);
+}
+
+#[test]
+fn fault_injection_floor_sweep_follower_fail_fast() {
+    assert_floor_fault_isolated(10, CellStage::Account, FailurePolicy::FailFast);
 }
 
 #[test]

@@ -3,7 +3,9 @@
 
 use ntc_dc::archsim::qos::QosBaseline;
 use ntc_dc::archsim::{efficiency, Kernel, Platform, ServerSim};
-use ntc_dc::datacenter::experiments;
+use ntc_dc::datacenter::{
+    experiments, BackendSpec, Engine, ExperimentSpec, PolicySpec, ServerSpec,
+};
 use ntc_dc::power::{DataCenterPowerModel, ServerPowerModel};
 use ntc_dc::units::{Frequency, Percent};
 use ntc_dc::workload::ClusterTraceGenerator;
@@ -154,4 +156,60 @@ fn headline_9_proportionality_gap() {
     let ntc = ServerPowerModel::ntc();
     let conv = ServerPowerModel::conventional_e5_2620();
     assert!(ep_index(&ntc, ntc.fmax(), 50) > ep_index(&conv, conv.fmax(), 50) + 0.1);
+}
+
+#[test]
+fn headline_10_qos_floors_split_the_backends() {
+    // §VI-B3: the analytic power model knows nothing of QoS, while
+    // archsim counts every sample whose memory class misses the 2x
+    // degradation bound at its served frequency. Raising the QoS floor
+    // over {none, 1.2, 1.8} GHz can therefore only clear archsim
+    // misses (1.8 GHz is every class's minimum QoS-safe level), never
+    // move analytic violations, and costs only a few percent of energy.
+    // Oracle EPACT on the NTC server; at 96 VMs the 1.8 GHz floor costs
+    // +1.6% (analytic) and +1.1% (archsim).
+    let mut spec = ExperimentSpec::default_sweep();
+    spec.fleets[0].num_vms = 96;
+    spec.servers = vec![ServerSpec::Ntc];
+    spec.policies = vec![PolicySpec::Epact];
+    spec.qos_floors_mhz = vec![None, Some(1200.0), Some(1800.0)];
+    spec.backends = vec![BackendSpec::Analytic, BackendSpec::Archsim];
+    let sweep = Engine::new().run(&spec).expect("floor sweep");
+    assert!(sweep.is_complete());
+    let arm = |backend: BackendSpec| -> Vec<(usize, f64)> {
+        sweep
+            .cells
+            .iter()
+            .filter(|c| c.cell.backend == backend)
+            .map(|c| {
+                (
+                    c.outcome.total_violations(),
+                    c.outcome.total_energy().as_joules(),
+                )
+            })
+            .collect()
+    };
+    let (analytic, archsim) = (arm(BackendSpec::Analytic), arm(BackendSpec::Archsim));
+    assert_eq!(analytic.len(), 3);
+    assert_eq!(archsim.len(), 3);
+
+    assert!(
+        analytic.iter().all(|a| a.0 == analytic[0].0),
+        "analytic violations must not depend on the floor: {analytic:?}"
+    );
+    assert!(archsim[0].0 > 0, "archsim must see QoS misses unfloored");
+    assert!(
+        archsim.windows(2).all(|w| w[1].0 <= w[0].0),
+        "a higher floor cannot add archsim misses: {archsim:?}"
+    );
+    assert_eq!(archsim[2].0, 0, "the 1.8 GHz floor meets QoS everywhere");
+
+    for (label, arm) in [("analytic", &analytic), ("archsim", &archsim)] {
+        let cost = arm[2].1 / arm[0].1 - 1.0;
+        assert!(
+            (0.0..0.03).contains(&cost),
+            "{label}: the 1.8 GHz floor should cost a few percent, got {:.2}%",
+            cost * 100.0
+        );
+    }
 }
