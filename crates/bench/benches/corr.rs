@@ -3,9 +3,10 @@
 //! (`day_moment_cache(false)`), on the default 60-VM fleet.
 //!
 //! EPACT re-plans all 24 slots of every day, and each plan touches
-//! O(n²) pairwise covariances; the day cache builds one set of prefix
-//! sums per day and answers every slot window in O(1), instead of
-//! re-centering all series and re-accumulating pair products per slot.
+//! O(n²) pairwise covariances; the day cache keeps one copy of the day
+//! and fills one plane of pair product sums per slot window, which
+//! every admit of that slot's packing streams, instead of re-centering
+//! all series and re-accumulating pair products per slot.
 //! The explicit min-of-5 comparison printed before the criterion runs
 //! is the PR's acceptance measurement: cached must be strictly faster.
 

@@ -223,3 +223,38 @@ fn deeply_nested_spec_file_fails_cleanly() {
     assert!(err.contains("nesting"), "{err}");
     assert_eq!(err.lines().count(), 1, "{err}");
 }
+
+/// A negative QoS floor is rejected while the spec is validated, before
+/// any fleet is generated or cell runs: one error line, exit code 1 and
+/// no cell table.
+#[test]
+fn negative_qos_floor_spec_file_fails_cleanly() {
+    let path = std::env::temp_dir().join("ntcdc_negative_floor_spec.json");
+    std::fs::write(
+        &path,
+        r#"{
+  "name": "negative-floor",
+  "fleets": [{"num_vms": 8, "seed": 1, "weeks": 2}],
+  "policies": ["epact"],
+  "servers": ["ntc"],
+  "qos_floors_mhz": [-5],
+  "max_servers": 100
+}"#,
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_ntcdc"))
+        .args(["sweep", "--spec", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    let (stdout, err) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{stdout}\n{err}");
+    assert_eq!(
+        err.trim_end(),
+        "error: QoS floor must be finite and non-negative (got -5 MHz)"
+    );
+    assert!(stdout.is_empty(), "{stdout}");
+}

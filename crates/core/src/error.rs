@@ -80,6 +80,11 @@ pub enum Error {
         /// The offending scale factor.
         scale: f64,
     },
+    /// A QoS frequency floor is negative, NaN or infinite.
+    BadQosFloor {
+        /// The offending floor, in MHz.
+        mhz: f64,
+    },
     /// An accounting backend could not be constructed for its server
     /// platform (reported per cell by the experiment engine instead of
     /// panicking mid-sweep).
@@ -159,6 +164,10 @@ impl std::fmt::Display for Error {
             Self::BadStaticPowerScale { scale } => write!(
                 f,
                 "static-power scale must be finite and non-negative (got {scale})"
+            ),
+            Self::BadQosFloor { mhz } => write!(
+                f,
+                "QoS floor must be finite and non-negative (got {mhz} MHz)"
             ),
             Self::BackendInit { backend, reason } => {
                 write!(f, "backend {backend} failed to initialize: {reason}")
@@ -250,6 +259,10 @@ mod tests {
             (
                 Error::BadStaticPowerScale { scale: -1.0 },
                 "finite and non-negative",
+            ),
+            (
+                Error::BadQosFloor { mhz: -5.0 },
+                "QoS floor must be finite and non-negative (got -5 MHz)",
             ),
             (
                 Error::BackendInit {

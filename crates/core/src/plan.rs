@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::Error;
 
-/// Day-level prefix-sum caches backing a slot's correlation queries:
+/// Day-level moment caches backing a slot's correlation queries:
 /// the CPU and memory [`DayCache`]s plus the offset of the slot window
 /// within the day. Attached to a [`SlotContext`] via
 /// [`with_day_window`](SlotContext::with_day_window).
@@ -98,19 +98,22 @@ impl<'a> SlotContext<'a> {
         }
     }
 
-    /// Attaches day-level prefix-sum caches whose window at `offset`
-    /// holds this slot's predicted values, letting
+    /// Attaches day-level caches whose window at `offset` holds this
+    /// slot's predicted values, letting
     /// [`corr_cpu`](Self::corr_cpu)/[`corr_mem`](Self::corr_mem) answer
-    /// correlation queries from the day's memoized prefix sums instead
+    /// correlation queries from the day's memoized window plane instead
     /// of rebuilding per-slot state. The caller guarantees the day
     /// values at `offset..offset + slot_len` are the slot's predicted
-    /// values; moments are bit-identical either way (see
+    /// values. Per-series means and variances are bit-identical either
+    /// way; pairwise covariances agree to rounding (see
     /// [`CorrelationCache::from_day_window`]).
     ///
     /// # Panics
     ///
     /// Panics if either cache covers a different number of series than
     /// the context has VMs, or the slot window reaches outside the day.
+    /// Correlation queries panic if the slot window is off either
+    /// cache's block grid.
     pub fn with_day_window(mut self, cpu: &'a DayCache, mem: &'a DayCache, offset: usize) -> Self {
         assert_eq!(
             cpu.num_series(),

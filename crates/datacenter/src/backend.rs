@@ -21,7 +21,7 @@
 //!
 //! # The backend contract (cache soundness)
 //!
-//! The engine's [`PlanCache`](crate::cache) and `ForecastCache` share
+//! The engine's `PlanCache` and `ForecastCache` share
 //! plans and day-ahead forecasts across every cell whose *planning
 //! inputs* coincide — including cells that differ only in backend. That
 //! sharing is sound if and only if a backend **conserves the upstream
@@ -51,6 +51,7 @@ use ntc_workload::MemClass;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::ServerSpec;
+use crate::tags::tag_table;
 
 /// The govern stage's output for one slot: per active server, its
 /// dominant (worst-case) hosted memory class and one
@@ -400,13 +401,15 @@ pub enum BackendSpec {
     Archsim,
 }
 
+tag_table!(BackendSpec, "backend", {
+    Analytic => "analytic",
+    Archsim => "archsim",
+});
+
 impl BackendSpec {
     /// Short display label, also the CLI / JSON tag.
     pub fn label(&self) -> &'static str {
-        match self {
-            BackendSpec::Analytic => "analytic",
-            BackendSpec::Archsim => "archsim",
-        }
+        self.tag()
     }
 
     /// Instantiates the backend for `server`'s platform, reporting
@@ -464,26 +467,6 @@ impl BackendSpec {
     /// return an empty fingerprint and share plans freely.
     pub fn planning_inputs(&self) -> Vec<u64> {
         Vec::new()
-    }
-}
-
-impl std::fmt::Display for BackendSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for BackendSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "analytic" => Ok(BackendSpec::Analytic),
-            "archsim" => Ok(BackendSpec::Archsim),
-            other => Err(format!(
-                "unknown backend {other:?} (expected analytic or archsim)"
-            )),
-        }
     }
 }
 

@@ -69,6 +69,7 @@ use serde::{Deserialize, Serialize};
 use crate::backend::BackendSpec;
 use crate::cache::{CacheStats, ForecastCache, PlanCache, RunCaches};
 use crate::fault::{self, CellError, CellStage, FailureCause, FailurePolicy, FaultSpec};
+use crate::tags::tag_table;
 use crate::{MeanStd, WeekOutcome, WeekSim};
 
 /// One synthetic fleet of a sweep's fleet set (see
@@ -113,6 +114,13 @@ pub enum PolicySpec {
     LoadBalance,
 }
 
+tag_table!(PolicySpec, "policy", {
+    Epact => "epact",
+    Coat => "coat",
+    CoatOpt => "coat_opt",
+    LoadBalance => "load_balance",
+});
+
 impl PolicySpec {
     /// Instantiates the policy, honouring the spec's ablation flags.
     pub fn build(&self, ablation: AblationFlags) -> Box<dyn AllocationPolicy> {
@@ -134,6 +142,11 @@ pub enum ServerSpec {
     /// The conventional Xeon E5-2620 reference.
     Conventional,
 }
+
+tag_table!(ServerSpec, "server", {
+    Ntc => "ntc",
+    Conventional => "conventional",
+});
 
 impl ServerSpec {
     /// Instantiates the power model.
@@ -164,6 +177,12 @@ pub enum PredictorSpec {
     /// Same-time-yesterday baseline.
     SeasonalNaive,
 }
+
+tag_table!(PredictorSpec, "predictor", {
+    Oracle => "oracle",
+    Arima => "arima",
+    SeasonalNaive => "seasonal_naive",
+});
 
 /// Ablation switches applied across the sweep (DESIGN.md §7).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -303,6 +322,11 @@ impl ExperimentSpec {
         for &scale in &self.static_power_scales {
             if !scale.is_finite() || scale < 0.0 {
                 return Err(Error::BadStaticPowerScale { scale });
+            }
+        }
+        for &mhz in self.qos_floors_mhz.iter().flatten() {
+            if !mhz.is_finite() || mhz < 0.0 {
+                return Err(Error::BadQosFloor { mhz });
             }
         }
         Ok(())
@@ -691,11 +715,11 @@ impl Engine {
     ///
     /// Returns an error only for a sweep that cannot start at all: any
     /// fleet is empty or shorter than two weeks, `max_servers == 0`, a
-    /// static-power scale is negative or non-finite, or the (valid)
-    /// spec expands to no cells. *Per-cell* failures — panics or
-    /// errors inside a running cell — do not surface here: the sweep
-    /// completes under the spec's [`FailurePolicy`] and reports them
-    /// in [`SweepResult::failed`].
+    /// static-power scale or a QoS floor is negative or non-finite, or
+    /// the (valid) spec expands to no cells. *Per-cell* failures —
+    /// panics or errors inside a running cell — do not surface here:
+    /// the sweep completes under the spec's [`FailurePolicy`] and
+    /// reports them in [`SweepResult::failed`].
     pub fn run(&self, spec: &ExperimentSpec) -> Result<SweepResult, Error> {
         self.run_with_workers(spec, self.threads)
     }
@@ -1099,6 +1123,19 @@ mod tests {
             assert!(
                 matches!(err, Error::BadStaticPowerScale { .. }),
                 "{bad} must be rejected, got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_qos_floor_is_rejected() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut spec = tiny_spec();
+            spec.qos_floors_mhz = vec![None, Some(1200.0), Some(bad)];
+            let err = Engine::with_threads(2).run(&spec).unwrap_err();
+            assert!(
+                matches!(err, Error::BadQosFloor { .. }),
+                "{bad} MHz must be rejected, got {err:?}"
             );
         }
     }

@@ -1,6 +1,6 @@
 //! CSV and JSON export of experiment results — so the regenerated
 //! figures can be plotted with any external tool. The JSON emitters are
-//! built on the same [`Value`] writer the spec codec uses
+//! built on the same `Value` writer the spec codec uses
 //! ([`spec_json`](crate::spec_json)); there is no second hand-rolled
 //! emitter to drift.
 
@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use crate::engine::SweepResult;
 use crate::experiments::{Fig1Curve, Fig2Series, Fig3Series, Fig7Point};
-use crate::spec_json::{policy_tag, server_tag, Value};
+use crate::spec_json::Value;
 use crate::{AblationFlags, WeekOutcome};
 
 /// Renders the per-slot series of several week outcomes side by side
@@ -168,14 +168,8 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
             let spec = c.cell;
             Value::Object(vec![
                 ("label".into(), Value::String(spec.label(ablation))),
-                (
-                    "policy".into(),
-                    Value::String(policy_tag(spec.policy).into()),
-                ),
-                (
-                    "server".into(),
-                    Value::String(server_tag(spec.server).into()),
-                ),
+                ("policy".into(), Value::String(spec.policy.tag().into())),
+                ("server".into(), Value::String(spec.server.tag().into())),
                 (
                     "qos_floor_mhz".into(),
                     spec.qos_floor_mhz.map_or(Value::Null, Value::Number),
@@ -184,7 +178,7 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
                     "static_power_scale".into(),
                     Value::Number(spec.static_power_scale),
                 ),
-                ("backend".into(), Value::String(spec.backend.label().into())),
+                ("backend".into(), Value::String(spec.backend.tag().into())),
                 ("num_vms".into(), Value::Number(spec.fleet.num_vms as f64)),
                 ("seed".into(), Value::Number(spec.fleet.seed as f64)),
                 ("weeks".into(), Value::Number(spec.fleet.weeks as f64)),
@@ -219,8 +213,8 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
             };
             Value::Object(vec![
                 ("label".into(), Value::String(g.label(ablation))),
-                ("policy".into(), Value::String(policy_tag(g.policy).into())),
-                ("server".into(), Value::String(server_tag(g.server).into())),
+                ("policy".into(), Value::String(g.policy.tag().into())),
+                ("server".into(), Value::String(g.server.tag().into())),
                 (
                     "qos_floor_mhz".into(),
                     g.qos_floor_mhz.map_or(Value::Null, Value::Number),
@@ -229,7 +223,7 @@ pub fn sweep_json(sweep: &SweepResult, ablation: AblationFlags) -> String {
                     "static_power_scale".into(),
                     Value::Number(g.static_power_scale),
                 ),
-                ("backend".into(), Value::String(g.backend.label().into())),
+                ("backend".into(), Value::String(g.backend.tag().into())),
                 ("runs".into(), Value::Number(g.runs as f64)),
                 ("energy_mj".into(), stat(g.energy_mj)),
                 ("violations".into(), stat(g.violations)),

@@ -35,7 +35,7 @@
 //! # Stage tracking
 //!
 //! Workers record the stage they are executing in a thread-local
-//! ([`enter`]); a cell runs entirely on one worker, so when a panic is
+//! (`enter`); a cell runs entirely on one worker, so when a panic is
 //! caught the thread-local still names the stage that was active. The
 //! same hook is where armed panic faults fire, which keeps the
 //! injection points and the attribution points identical by
@@ -47,6 +47,7 @@ use ntc_core::Error;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::CellSpec;
+use crate::tags::tag_table;
 
 /// The stages of one cell's evaluation, as the failure model reports
 /// them: the engine-side [`Fleet`](CellStage::Fleet) (trace
@@ -154,13 +155,15 @@ pub enum FailurePolicy {
     FailFast,
 }
 
+tag_table!(FailurePolicy, "failure policy", {
+    KeepGoing => "keep_going",
+    FailFast => "fail_fast",
+});
+
 impl FailurePolicy {
     /// Short display tag, also the spec-JSON encoding.
     pub fn label(&self) -> &'static str {
-        match self {
-            FailurePolicy::KeepGoing => "keep_going",
-            FailurePolicy::FailFast => "fail_fast",
-        }
+        self.tag()
     }
 }
 

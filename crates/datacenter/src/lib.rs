@@ -61,6 +61,7 @@ pub mod export;
 pub mod fault;
 mod outcome;
 pub mod spec_json;
+mod tags;
 mod weeksim;
 
 pub use backend::{

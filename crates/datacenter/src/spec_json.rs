@@ -1,6 +1,6 @@
 //! JSON (de)serialization for [`ExperimentSpec`] — the on-disk form the
 //! CLI `sweep` subcommand reads and writes — plus the crate's shared
-//! JSON [`Value`] writer that [`export`](crate::export) reuses for
+//! JSON `Value` writer that [`export`](crate::export) reuses for
 //! result emission, so there is exactly one JSON emitter in the tree.
 //!
 //! # Examples
@@ -14,9 +14,7 @@
 //! ```
 
 use crate::backend::BackendSpec;
-use crate::engine::{
-    AblationFlags, ExperimentSpec, FleetSpec, PolicySpec, PredictorSpec, ServerSpec,
-};
+use crate::engine::{AblationFlags, ExperimentSpec, FleetSpec, PredictorSpec};
 use crate::fault::FailurePolicy;
 
 /// Renders `spec` as pretty-printed JSON.
@@ -25,12 +23,12 @@ pub fn to_json(spec: &ExperimentSpec) -> String {
     let policies = spec
         .policies
         .iter()
-        .map(|&p| Value::String(policy_tag(p).to_string()))
+        .map(|&p| Value::String(p.tag().to_string()))
         .collect();
     let servers = spec
         .servers
         .iter()
-        .map(|&s| Value::String(server_tag(s).to_string()))
+        .map(|&s| Value::String(s.tag().to_string()))
         .collect();
     let floors = spec
         .qos_floors_mhz
@@ -48,7 +46,7 @@ pub fn to_json(spec: &ExperimentSpec) -> String {
     let backends = spec
         .backends
         .iter()
-        .map(|&b| Value::String(b.label().to_string()))
+        .map(|&b| Value::String(b.tag().to_string()))
         .collect();
     Value::Object(vec![
         ("name".into(), Value::String(spec.name.clone())),
@@ -60,7 +58,7 @@ pub fn to_json(spec: &ExperimentSpec) -> String {
         ("backends".into(), Value::Array(backends)),
         (
             "predictor".into(),
-            Value::String(predictor_tag(spec.predictor).to_string()),
+            Value::String(spec.predictor.tag().to_string()),
         ),
         ("max_servers".into(), Value::Number(spec.max_servers as f64)),
         (
@@ -69,7 +67,7 @@ pub fn to_json(spec: &ExperimentSpec) -> String {
         ),
         (
             "failure_policy".into(),
-            Value::String(spec.failure_policy.label().to_string()),
+            Value::String(spec.failure_policy.tag().to_string()),
         ),
     ])
     .render()
@@ -151,13 +149,13 @@ pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
             "policies" => {
                 for (i, item) in val.as_array("policies")?.iter().enumerate() {
                     let tag = item.as_string(&format!("policies[{i}]"))?;
-                    spec.policies.push(parse_policy(tag)?);
+                    spec.policies.push(tag.parse()?);
                 }
             }
             "servers" => {
                 for (i, item) in val.as_array("servers")?.iter().enumerate() {
                     let tag = item.as_string(&format!("servers[{i}]"))?;
-                    spec.servers.push(parse_server(tag)?);
+                    spec.servers.push(tag.parse()?);
                 }
             }
             "qos_floors_mhz" => {
@@ -177,17 +175,15 @@ pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
             "backends" => {
                 for (i, item) in val.as_array("backends")?.iter().enumerate() {
                     let tag = item.as_string(&format!("backends[{i}]"))?;
-                    spec.backends.push(parse_backend(tag)?);
+                    spec.backends.push(tag.parse()?);
                 }
             }
-            "predictor" => spec.predictor = parse_predictor(val.as_string("predictor")?)?,
+            "predictor" => spec.predictor = val.as_string("predictor")?.parse()?,
             "max_servers" => spec.max_servers = val.as_usize("max_servers")?,
             "correlation_only" => {
                 spec.ablation.correlation_only = val.as_bool("correlation_only")?
             }
-            "failure_policy" => {
-                spec.failure_policy = parse_failure_policy(val.as_string("failure_policy")?)?
-            }
+            "failure_policy" => spec.failure_policy = val.as_string("failure_policy")?.parse()?,
             other => return Err(format!("unknown field {other}")),
         }
     }
@@ -208,77 +204,6 @@ pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
         spec.backends.push(BackendSpec::Analytic);
     }
     Ok(spec)
-}
-
-fn parse_backend(tag: &str) -> Result<BackendSpec, String> {
-    tag.parse()
-}
-
-fn parse_failure_policy(tag: &str) -> Result<FailurePolicy, String> {
-    match tag {
-        "keep_going" => Ok(FailurePolicy::KeepGoing),
-        "fail_fast" => Ok(FailurePolicy::FailFast),
-        other => Err(format!(
-            "unknown failure policy {other:?} (expected keep_going or fail_fast)"
-        )),
-    }
-}
-
-pub(crate) fn policy_tag(p: PolicySpec) -> &'static str {
-    match p {
-        PolicySpec::Epact => "epact",
-        PolicySpec::Coat => "coat",
-        PolicySpec::CoatOpt => "coat_opt",
-        PolicySpec::LoadBalance => "load_balance",
-    }
-}
-
-fn parse_policy(tag: &str) -> Result<PolicySpec, String> {
-    match tag {
-        "epact" => Ok(PolicySpec::Epact),
-        "coat" => Ok(PolicySpec::Coat),
-        "coat_opt" => Ok(PolicySpec::CoatOpt),
-        "load_balance" => Ok(PolicySpec::LoadBalance),
-        other => Err(format!(
-            "unknown policy {other:?} (expected epact, coat, coat_opt or load_balance)"
-        )),
-    }
-}
-
-pub(crate) fn server_tag(s: ServerSpec) -> &'static str {
-    match s {
-        ServerSpec::Ntc => "ntc",
-        ServerSpec::Conventional => "conventional",
-    }
-}
-
-fn parse_server(tag: &str) -> Result<ServerSpec, String> {
-    match tag {
-        "ntc" => Ok(ServerSpec::Ntc),
-        "conventional" => Ok(ServerSpec::Conventional),
-        other => Err(format!(
-            "unknown server {other:?} (expected ntc or conventional)"
-        )),
-    }
-}
-
-fn predictor_tag(p: PredictorSpec) -> &'static str {
-    match p {
-        PredictorSpec::Oracle => "oracle",
-        PredictorSpec::Arima => "arima",
-        PredictorSpec::SeasonalNaive => "seasonal_naive",
-    }
-}
-
-fn parse_predictor(tag: &str) -> Result<PredictorSpec, String> {
-    match tag {
-        "oracle" => Ok(PredictorSpec::Oracle),
-        "arima" => Ok(PredictorSpec::Arima),
-        "seasonal_naive" => Ok(PredictorSpec::SeasonalNaive),
-        other => Err(format!(
-            "unknown predictor {other:?} (expected oracle, arima or seasonal_naive)"
-        )),
-    }
 }
 
 fn escape(s: &str) -> String {
@@ -677,6 +602,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PolicySpec;
 
     #[test]
     fn round_trips_the_default_sweep() {

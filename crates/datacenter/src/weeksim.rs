@@ -120,12 +120,13 @@ impl<'a> WeekSimBuilder<'a> {
     /// Enables or disables the day-level moment cache (default: on).
     ///
     /// When on, each planning day builds one
-    /// [`DayCache`](ntc_trace::DayCache) of prefix sums over the day's
-    /// prediction series, and every slot context answers its window
-    /// covariances from it in O(1) instead of rebuilding Pearson terms
-    /// per slot. Per-series means, variances and every degenerate-σ
-    /// decision are bit-identical either way; pairwise covariances
-    /// agree to ulp precision (prefix vs centered accumulation), so a
+    /// [`DayCache`](ntc_trace::DayCache) over the day's prediction
+    /// series, blocked at the samples-per-slot grid, and every slot
+    /// context answers its window covariances from the day's memoized
+    /// window plane instead of rebuilding Pearson terms per slot.
+    /// Per-series means, variances and every degenerate-σ decision are
+    /// bit-identical either way; pairwise covariances agree to ulp
+    /// precision (uncentered block sums vs centered accumulation), so a
     /// packing race decided by an *exact* score tie can resolve
     /// differently — week outcomes are statistically indistinguishable
     /// but not guaranteed bit-equal across this knob. `false` exists
@@ -437,14 +438,14 @@ impl<'a> WeekSim<'a> {
             fault::enter(CellStage::Plan);
         }
 
-        // Day-level moment caches: one prefix-sum build per day serves
-        // every re-plan of that day with O(1) windowed covariances.
+        // Day-level moment caches: one copy of the day's series serves
+        // every re-plan of that day.
         if self.day_cache {
             let day_start = self.eval_start + day * per_day;
             let forecast = &state.forecast;
             let fleet = self.fleet;
-            // Every plan window is aligned to the slot grid, so the
-            // caches answer it from one window plane of pair products.
+            // Every plan window is a slot, so blocks of one slot put
+            // it on the caches' grid: one window plane per slot.
             DayState::refresh(&mut state.moments, &mut state.moments_day, day, || {
                 match (forecast, predictor) {
                     (Some(fc), Some(_)) => (

@@ -44,7 +44,6 @@ mod llc;
 pub mod proportionality;
 pub mod psu;
 mod server;
-pub mod thermal;
 mod uncore;
 pub mod validation;
 pub mod variation;

@@ -26,31 +26,29 @@
 //! population moments, a `1e-12` degenerate-σ floor mapping to φ = 0,
 //! and clamping into `[-1, 1]`.
 //!
-//! # Day-level windows and the prefix-sum algebra
+//! # Day-level windows
 //!
 //! A cache can also *borrow* a window of a [`DayCache`] (see
 //! [`CorrelationCache::from_day_window`]), which hoists the per-slot
-//! work one level further: the day cache stores prefix sums
-//! `P[t] = Σ_{s<t} x[s]`, `Q[t] = Σ_{s<t} x[s]²` and, lazily per pair,
-//! `R[t] = Σ_{s<t} x[s]·y[s]`, so a slot window `[a, b)` of width `w`
-//! answers
+//! work one level further: the day cache keeps one copy of the day and
+//! a memoized plane of pair product sums for the window asked, so a
+//! slot window `[a, b)` of width `w` answers
 //!
 //! ```text
-//! mean      = (P[b] − P[a]) / w
-//! variance  = (Q[b] − Q[a]) / w − mean²
-//! cov(x, y) = (R[b] − R[a]) / w − mean_x · mean_y
+//! cov(x, y) = (Σ_{a≤s<b} x[s]·y[s]) / w − mean_x · mean_y
 //! ```
 //!
-//! in O(1) instead of O(w) — one day of prefix work serves all 24
-//! hourly re-plans. One numerical subtlety: the uncentered variance
-//! form cancels catastrophically on near-constant windows (AR(1)
-//! traces pinned at their floor), which can land σ on the wrong side
-//! of the `1e-12` degeneracy floor relative to the exact two-pass
-//! computation. A windowed cache therefore recomputes per-series means
-//! and variances *exactly* (same two-pass code as the owning
-//! constructor, over the same bits) and reserves the prefix trick for
-//! the pairwise covariances, where ulp-level drift only matters on
-//! exact score ties.
+//! from one plane load per pair, with no per-slot copy or re-centering.
+//! One numerical subtlety: the uncentered form agrees with the centered
+//! accumulation to rounding, not bit for bit, and the matching
+//! uncentered variance would cancel catastrophically on near-constant
+//! windows (AR(1) traces pinned at their floor), which could land σ on
+//! the wrong side of the `1e-12` degeneracy floor. A windowed cache
+//! therefore takes per-series means and variances from the exact
+//! two-pass [`DayCache::window_mean`] and [`DayCache::window_variance`]
+//! (the same code as the owning constructor, over the same bits) and
+//! uses the plane only for the pairwise covariances, where ulp-level
+//! drift only matters on exact score ties.
 //!
 //! # Examples
 //!
@@ -77,12 +75,11 @@ use crate::{stats, DayCache, TimeSeries};
 /// are asserted finite, so a genuine covariance can never be NaN.
 const UNSET: f64 = f64::NAN;
 
-/// Per-slot cache of the Pearson terms shared by every candidate scan:
-/// per-series population moments (eager) and pairwise covariances
-/// (memoized on first use).
-///
-/// Create one per allocation call and thread it through
-/// [`PatternStats`]; see the [module docs](self) for the algebra.
+/// The running terms of one server pattern `S`: `var(S)`, `σ(S)` and
+/// `cov(S, v)` for every series `v`. Admitting a VM adds its covariance
+/// row, so [`complement_correlation`](Self::complement_correlation)
+/// scores a candidate in O(1) as `−cov(S, v) / (σ(S) · σ(v))`, with no
+/// complement series materialized.
 #[derive(Debug, Clone)]
 pub struct PatternStats {
     var: f64,
@@ -94,7 +91,7 @@ pub struct PatternStats {
 
 /// Where a cache's series values and covariance terms live: owned and
 /// centered per slot (the classic path), or borrowed as a window of a
-/// day-level prefix-sum cache.
+/// [`DayCache`].
 #[derive(Debug, Clone)]
 enum Backing<'d> {
     Owned {
@@ -106,12 +103,17 @@ enum Backing<'d> {
     Windowed {
         day: &'d DayCache,
         window: Range<usize>,
-        /// Exact per-series window means (two-pass, not prefix-derived).
+        /// Exact per-series window means (two-pass).
         means: Vec<f64>,
     },
 }
 
-/// See the [module docs](self).
+/// Per-slot cache of the Pearson terms shared by every candidate scan:
+/// per-series population moments (eager) and pairwise covariances
+/// (memoized on first use).
+///
+/// Create one per allocation call and thread it through
+/// [`PatternStats`].
 #[derive(Debug, Clone)]
 pub struct CorrelationCache<'d> {
     num_series: usize,
@@ -175,31 +177,25 @@ impl CorrelationCache<'static> {
 
 impl<'d> CorrelationCache<'d> {
     /// Builds a cache over `window` of a [`DayCache`] without copying
-    /// or re-centering the series: covariances come from the day's O(1)
-    /// prefix sums, while per-series means and variances are recomputed
-    /// exactly from the raw window so degenerate-σ decisions (the
+    /// or re-centering the series: covariances come from the day's
+    /// window plane of pair product sums, while per-series means and
+    /// variances are the exact [`DayCache::window_mean`] and
+    /// [`DayCache::window_variance`], so degenerate-σ decisions (the
     /// `1e-12` floor) are bit-identical to [`new`](Self::new) on the
-    /// same values — see the [module docs](self).
+    /// same values.
     ///
     /// # Panics
     ///
-    /// Panics if `window` reaches outside the day.
+    /// Panics if `window` reaches outside the day; covariance queries
+    /// panic if it is off the day's block grid.
     pub fn from_day_window(day: &'d DayCache, window: Range<usize>) -> Self {
-        assert!(
-            window.start <= window.end && window.end <= day.len(),
-            "window {}..{} outside day of {} samples",
-            window.start,
-            window.end,
-            day.len()
-        );
         let num_series = day.num_series();
         let mut means = Vec::with_capacity(num_series);
         let mut vars = Vec::with_capacity(num_series);
         let mut stds = Vec::with_capacity(num_series);
         for i in 0..num_series {
-            let w = &day.series(i)[window.clone()];
-            means.push(stats::mean(w));
-            let var = stats::variance(w);
+            means.push(day.window_mean(i, window.clone()));
+            let var = day.window_variance(i, window.clone());
             vars.push(var);
             stds.push(var.sqrt());
         }
@@ -492,7 +488,7 @@ mod tests {
     /// A windowed cache over `[a, b)` of a day must agree with an
     /// owning cache built on the copied window: means/variances/stds
     /// bitwise (same two-pass code over the same bits), covariances to
-    /// ulp-level tolerance (prefix vs centered accumulation).
+    /// ulp-level tolerance (uncentered plane vs centered accumulation).
     #[test]
     fn day_window_matches_owned_cache_on_window_copy() {
         let series = fixtures(6, 48);

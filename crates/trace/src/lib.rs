@@ -14,8 +14,9 @@
 //! * [`CorrelationCache`] / [`PatternStats`] — memoized pairwise Pearson
 //!   terms and O(1) running-pattern correlations for the allocator
 //!   candidate scans of Algorithms 1 and 2;
-//! * [`DayCache`] — day-level prefix sums answering windowed
-//!   mean/variance/covariance queries in O(1), so one cache serves all
+//! * [`DayCache`] — one copy of a day's series answering windowed
+//!   mean/variance/covariance queries, the covariances from a memoized
+//!   plane of the window's pair product sums, so one cache serves all
 //!   hourly re-plans of a day.
 //!
 //! # Examples

@@ -1,45 +1,37 @@
-//! Day-level prefix-sum cache answering windowed moments in O(1).
+//! Day-level cache answering windowed moments from one copy of a day.
 //!
 //! The `ntc_datacenter` week simulation produces one day-ahead forecast
 //! per day and then re-plans EPACT on every hourly slot of that day —
 //! 24 windows into the *same* underlying series. Rebuilding a
 //! [`CorrelationCache`](crate::CorrelationCache) from scratch per slot
-//! re-walks every series 24 times. [`DayCache`] hoists that work to the
-//! day level with classic prefix-sum algebra: for series `x` it stores
+//! copies, re-centers and re-multiplies every series 24 times.
+//! [`DayCache`] holds the day's raw values once and answers, for a
+//! window `[a, b)` of width `w`:
 //!
 //! ```text
-//! P[t]  = Σ_{s<t} x[s]          (value prefix sums)
-//! Q[t]  = Σ_{s<t} x[s]²         (square prefix sums)
-//! R[t]  = Σ_{s<t} x[s]·y[s]     (pairwise product prefix sums)
+//! mean      = stats::mean(x[a..b])
+//! variance  = stats::variance(x[a..b])
+//! cov(x, y) = (Σ_{a≤s<b} x[s]·y[s]) / w − mean_x · mean_y
 //! ```
 //!
-//! so any window `[a, b)` of width `w = b − a` answers
-//!
-//! ```text
-//! mean      = (P[b] − P[a]) / w
-//! variance  = (Q[b] − Q[a]) / w − mean²           (clamped at ≥ 0)
-//! cov(x, y) = (R[b] − R[a]) / w − mean_x · mean_y
-//! ```
-//!
-//! in O(1). Pairwise product rows are built on first use and memoized
-//! (triangular storage, one row per unordered pair), so a day in which
-//! the allocator never compares VMs `i` and `j` never pays for them.
+//! Means and variances are the exact two-pass moments of the window
+//! slice; the covariance's product sums come from a memoized window
+//! plane.
 //!
 //! # Window planes
 //!
-//! The week simulation only ever asks for windows aligned to slot
-//! boundaries (each window starts and ends on a multiple of the
-//! samples-per-slot grid). [`DayCache::with_block_size`] exploits
-//! that: the pair product sums of an aligned window are computed
+//! A cache carries a block size, and every covariance window must start
+//! and end on a multiple of it. [`DayCache::new`] uses one-sample
+//! blocks, which accept any window; the week simulation builds with
+//! [`DayCache::with_block_size`] at the samples-per-slot grid and only
+//! asks slot windows. The pair product sums of a window are computed
 //! wholesale into one contiguous triangular *window plane* —
 //! `num_pairs` wide, entry `hi·(hi+1)/2 + lo` — memoized for the last
 //! window asked. Every admit of a packing run over that window streams
-//! the one compact plane (L2-resident) instead of hopping across one
-//! 8·(len+1)-byte prefix row per pair, and the next window reuses the
-//! plane's allocation. Unaligned windows transparently fall back to
-//! the full prefix rows.
+//! the one compact plane (L2-resident), and the next window reuses the
+//! plane's allocation.
 //!
-//! A pair's aligned window sum is defined block by block: each block
+//! A pair's window sum is defined block by block: each block
 //! contributes a four-lane dot product — lanes started at `0.0` over
 //! the block's samples in chunks of four, combined
 //! `(l0 + l1) + (l2 + l3)`, then the leftover samples added in order —
@@ -53,12 +45,14 @@
 //! the bulk [`DayCache::accumulate_window_covariances`], so the two
 //! agree bit for bit.
 //!
-//! The uncentered forms trade a little precision for the O(1) window
-//! query: on near-constant windows the subtraction can cancel
-//! catastrophically, which is why variance is clamped at zero and why
+//! The uncentered covariance form trades a little precision for
+//! sharing one plane across every pair query of a window: it agrees
+//! with the centered [`stats::covariance`](crate::stats::covariance) to
+//! rounding, not bit for bit, and can cancel on near-constant windows.
+//! Means and variances carry no such error, which is why
 //! [`CorrelationCache::from_day_window`](crate::CorrelationCache::from_day_window)
-//! recomputes per-series means and variances exactly from the raw
-//! window (see there).
+//! takes its per-series moments from [`DayCache::window_mean`] and
+//! [`DayCache::window_variance`].
 //!
 //! # Examples
 //!
@@ -74,10 +68,10 @@
 //! ```
 
 use std::borrow::Borrow;
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::ops::Range;
 
-use crate::TimeSeries;
+use crate::{stats, TimeSeries};
 
 /// Why a series set cannot back a cache.
 ///
@@ -102,59 +96,46 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Lazily-filled prefix sums and pairwise product sums. Everything in
-/// here is built on first use: the simulation hot path only ever
-/// touches the window plane, so it never pays for the per-series
-/// prefixes, and vice versa for the generic windowed-moment API.
-#[derive(Debug)]
-struct PairStore {
-    /// Row-major `num_series × (len + 1)` value prefix sums, plus the
-    /// matching square prefix sums. Empty until the first
-    /// `window_sum`/`window_mean`/`window_variance` query.
-    prefix: Vec<f64>,
-    sq_prefix: Vec<f64>,
-    /// Triangular pairwise product prefix rows, built lazily: the table
-    /// is empty until the first unaligned query, and entry
-    /// `hi·(hi+1)/2 + lo` (for `lo ≤ hi`) is empty until that pair's
-    /// first use, then a `len + 1` prefix row. Serves arbitrary
-    /// windows.
-    rows: Vec<Vec<f64>>,
-    /// The window plane of the last aligned window asked for (see the
-    /// [module docs](self)), and that window; `None` until the first
-    /// aligned query.
-    window_plane: Vec<f64>,
-    plane_window: Option<Range<usize>>,
+/// The window plane of the last window asked for, and that window;
+/// `None` until the first covariance query.
+#[derive(Debug, Default)]
+struct WindowPlane {
+    window: Option<Range<usize>>,
+    sums: Vec<f64>,
 }
 
-/// See the [module docs](self).
+/// One day of equal-length series answering windowed means, variances
+/// and pair covariances. Covariances read a triangular plane of pair
+/// product sums, built block by block for the last window asked and
+/// reused until a different window is asked; every covariance window
+/// must start and end on the cache's block grid.
 #[derive(Debug)]
 pub struct DayCache {
     num_series: usize,
     len: usize,
-    /// Block granularity for slot-aligned product sums; 0 disables the
-    /// window planes and every window uses the prefix rows.
+    /// Block granularity of the window planes (≥ 1, divides `len`).
     block: usize,
     /// Row-major `num_series × len` raw values.
     values: Vec<f64>,
-    pairs: RefCell<PairStore>,
+    plane: RefCell<WindowPlane>,
 }
 
 impl DayCache {
-    /// Builds the day cache. Construction only copies the raw values;
-    /// every derived sum is computed lazily on first use.
+    /// Builds the day cache with one-sample blocks, so every window is
+    /// on the grid. Construction only copies the raw values; the
+    /// window plane is computed on first use.
     ///
     /// Fails with [`Error::EmptySeriesSet`] on an empty slice and
     /// [`Error::RaggedSeries`] when the series lengths differ.
     pub fn try_new(series: &[TimeSeries]) -> Result<Self, Error> {
-        Self::try_with_block_size(series, 0)
+        Self::try_with_block_size(series, 1)
     }
 
-    /// [`try_new`](Self::try_new) with window planes for windows
-    /// aligned to blocks of `block` samples (see the
-    /// [module docs](self)). A `block` that is zero or does not divide
-    /// the day length disables the planes; the cache then behaves
-    /// exactly like [`try_new`]. The series may be owned or borrowed
-    /// (`&[TimeSeries]` or `&[&TimeSeries]`).
+    /// [`try_new`](Self::try_new) with window planes summed in blocks
+    /// of `block` samples, for windows that start and end on multiples
+    /// of `block`. A `block` that is zero or does not divide the day
+    /// length falls back to one-sample blocks. The series may be owned
+    /// or borrowed (`&[TimeSeries]` or `&[&TimeSeries]`).
     pub fn try_with_block_size<S: Borrow<TimeSeries>>(
         series: &[S],
         block: usize,
@@ -174,20 +155,14 @@ impl DayCache {
         let block = if block > 0 && len.is_multiple_of(block) {
             block
         } else {
-            0
+            1
         };
         Ok(Self {
             num_series,
             len,
             block,
             values,
-            pairs: RefCell::new(PairStore {
-                prefix: Vec::new(),
-                sq_prefix: Vec::new(),
-                rows: Vec::new(),
-                window_plane: Vec::new(),
-                plane_window: None,
-            }),
+            plane: RefCell::default(),
         })
     }
 
@@ -238,70 +213,36 @@ impl DayCache {
         &self.values[i * self.len..(i + 1) * self.len]
     }
 
-    /// Sum of series `i` over `window`, in O(1) once the per-series
-    /// prefix sums exist (built on first use).
-    pub fn window_sum(&self, i: usize, window: Range<usize>) -> f64 {
-        self.check_window(&window);
-        let store = &mut *self.pairs.borrow_mut();
-        self.ensure_prefixes(store);
-        let row = &store.prefix[i * (self.len + 1)..(i + 1) * (self.len + 1)];
-        row[window.end] - row[window.start]
-    }
-
-    /// Population mean of series `i` over `window`, in O(1). An empty
-    /// window yields 0, matching [`stats::mean`](crate::stats::mean).
+    /// Population mean of series `i` over `window`: exactly
+    /// [`stats::mean`] of the window's values (0 for an empty window).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` reaches outside the day.
     pub fn window_mean(&self, i: usize, window: Range<usize>) -> f64 {
-        let w = window.len();
-        if w == 0 {
-            return 0.0;
-        }
-        self.window_sum(i, window) / w as f64
+        stats::mean(self.window_values(i, window))
     }
 
-    /// Population variance of series `i` over `window`, in O(1) and
-    /// clamped at ≥ 0 (the uncentered form can cancel to a tiny
-    /// negative). Windows shorter than 2 yield 0, matching
-    /// [`stats::variance`](crate::stats::variance).
+    /// Population variance of series `i` over `window`: exactly
+    /// [`stats::variance`] of the window's values (0 for windows
+    /// shorter than 2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` reaches outside the day.
     pub fn window_variance(&self, i: usize, window: Range<usize>) -> f64 {
-        let w = window.len();
-        if w < 2 {
-            return 0.0;
-        }
-        self.check_window(&window);
-        let mean = self.window_mean(i, window.clone());
-        let store = &mut *self.pairs.borrow_mut();
-        self.ensure_prefixes(store);
-        let row = &store.sq_prefix[i * (self.len + 1)..(i + 1) * (self.len + 1)];
-        let mean_sq = (row[window.end] - row[window.start]) / w as f64;
-        (mean_sq - mean * mean).max(0.0)
+        stats::variance(self.window_values(i, window))
     }
 
-    /// Builds the per-series value and square prefix sums if absent.
-    fn ensure_prefixes(&self, store: &mut PairStore) {
-        if !store.prefix.is_empty() {
-            return;
-        }
-        store.prefix.reserve_exact(self.num_series * (self.len + 1));
-        store
-            .sq_prefix
-            .reserve_exact(self.num_series * (self.len + 1));
-        for i in 0..self.num_series {
-            let (mut p, mut q) = (0.0, 0.0);
-            store.prefix.push(p);
-            store.sq_prefix.push(q);
-            for &v in self.series(i) {
-                p += v;
-                q += v * v;
-                store.prefix.push(p);
-                store.sq_prefix.push(q);
-            }
-        }
-    }
-
-    /// Population covariance of series `i` and `j` over `window`, in
-    /// O(1) once the pair's product prefix row exists (built and
-    /// memoized on first use). Windows shorter than 2 yield 0, matching
+    /// Population covariance of series `i` and `j` over `window`, from
+    /// the window plane (built on first use of the window). Windows
+    /// shorter than 2 yield 0, matching
     /// [`stats::covariance`](crate::stats::covariance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` reaches outside the day or is off the block
+    /// grid.
     pub fn window_covariance(&self, i: usize, j: usize, window: Range<usize>) -> f64 {
         let mi = self.window_mean(i, window.clone());
         let mj = self.window_mean(j, window.clone());
@@ -311,7 +252,12 @@ impl DayCache {
     /// [`window_covariance`](Self::window_covariance) with the window
     /// means supplied by the caller — lets
     /// [`CorrelationCache::from_day_window`](crate::CorrelationCache::from_day_window)
-    /// pair the O(1) product sums with exactly-computed means.
+    /// pair the plane's product sums with means it already holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` reaches outside the day or is off the block
+    /// grid.
     pub fn window_covariance_with_means(
         &self,
         i: usize,
@@ -324,8 +270,8 @@ impl DayCache {
         if w < 2 {
             return 0.0;
         }
-        self.check_window(&window);
-        let products = self.window_product_sum(i, j, &window);
+        let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
+        let products = self.plane(&window)[hi * (hi + 1) / 2 + lo];
         products * (1.0 / w as f64) - mean_i * mean_j
     }
 
@@ -334,10 +280,15 @@ impl DayCache {
     /// form of
     /// [`window_covariance_with_means`](Self::window_covariance_with_means)
     /// behind the allocator's admit loop. A single `RefCell` borrow and
-    /// one window-bound read serve the whole row, so the per-pair cost
-    /// is two prefix loads and a handful of flops; the per-value
-    /// arithmetic is identical to the scalar form. Windows shorter
-    /// than 2 add zero everywhere.
+    /// one window check serve the whole row, so the per-pair cost is
+    /// one plane load and a handful of flops; the per-value arithmetic
+    /// is identical to the scalar form. Windows shorter than 2 add zero
+    /// everywhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `means` or `acc` is not one entry per series, or if
+    /// `window` reaches outside the day or is off the block grid.
     pub fn accumulate_window_covariances(
         &self,
         u: usize,
@@ -351,93 +302,61 @@ impl DayCache {
         if w < 2 {
             return;
         }
-        self.check_window(&window);
         let inv_w = 1.0 / w as f64;
         let mean_u = means[u];
-        let store = &mut *self.pairs.borrow_mut();
-        if self.aligned(&window) {
-            // Split at `u`: the `v ≤ u` half of the triangular row is
-            // contiguous in the plane and vectorizes.
-            let plane = self.window_plane(store, &window);
-            let base = u * (u + 1) / 2;
-            for (v, (acc_v, &mean_v)) in acc[..=u].iter_mut().zip(means).enumerate() {
-                *acc_v += plane[base + v] * inv_w - mean_u * mean_v;
-            }
-            for (acc_v, (v, &mean_v)) in acc[u + 1..]
-                .iter_mut()
-                .zip(means.iter().enumerate().skip(u + 1))
-            {
-                *acc_v += plane[v * (v + 1) / 2 + u] * inv_w - mean_u * mean_v;
-            }
-            return;
+        let guard = self.plane(&window);
+        let plane = &guard[..];
+        // Split at `u`: the `v ≤ u` half of the triangular row is
+        // contiguous in the plane and vectorizes.
+        let base = u * (u + 1) / 2;
+        for (v, (acc_v, &mean_v)) in acc[..=u].iter_mut().zip(means).enumerate() {
+            *acc_v += plane[base + v] * inv_w - mean_u * mean_v;
         }
-        let (a, b) = (window.start, window.end);
-        for (v, (acc_v, &mean_v)) in acc.iter_mut().zip(means).enumerate() {
-            let row = self.pair_row(&mut store.rows, u, v);
-            let products = row[b] - row[a];
-            *acc_v += products * inv_w - mean_u * mean_v;
+        for (acc_v, (v, &mean_v)) in acc[u + 1..]
+            .iter_mut()
+            .zip(means.iter().enumerate().skip(u + 1))
+        {
+            *acc_v += plane[v * (v + 1) / 2 + u] * inv_w - mean_u * mean_v;
         }
     }
 
-    /// `Σ x_i·x_j` over the window, from the window plane when the
-    /// window is block-aligned and the memoized prefix rows otherwise
-    /// (either representation is built on first use). Aligned windows
-    /// always read the plane so the scalar and bulk queries agree
-    /// bitwise.
-    fn window_product_sum(&self, i: usize, j: usize, window: &Range<usize>) -> f64 {
-        let store = &mut *self.pairs.borrow_mut();
-        if self.aligned(window) {
-            let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
-            return self.window_plane(store, window)[hi * (hi + 1) / 2 + lo];
-        }
-        let row = self.pair_row(&mut store.rows, i, j);
-        row[window.end] - row[window.start]
-    }
-
-    /// The product prefix row of pair `(i, j)`, building the row table
-    /// and the row on first use.
-    fn pair_row<'s>(&self, rows: &'s mut Vec<Vec<f64>>, i: usize, j: usize) -> &'s [f64] {
-        let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
-        if rows.is_empty() {
-            rows.resize(self.num_series * (self.num_series + 1) / 2, Vec::new());
-        }
-        let row = &mut rows[hi * (hi + 1) / 2 + lo];
-        if row.is_empty() {
-            build_pair_row(self.series(lo), self.series(hi), self.len, row);
-        }
-        row
-    }
-
-    /// Whether `window` starts and ends on block boundaries (and the
-    /// window planes exist at all).
-    #[inline]
-    fn aligned(&self, window: &Range<usize>) -> bool {
-        self.block != 0
-            && window.start.is_multiple_of(self.block)
-            && window.end.is_multiple_of(self.block)
-    }
-
-    /// The window plane of the aligned `window`, recomputed only when
-    /// the window differs from the memoized one: every pair starts at
-    /// `0.0` and each block of the window is transposed sample-major
-    /// and added in order by [`add_block_plane`].
-    fn window_plane<'s>(&self, store: &'s mut PairStore, window: &Range<usize>) -> &'s [f64] {
-        if store.plane_window.as_ref() != Some(window) {
-            let (n, g) = (self.num_series, self.block);
-            store.window_plane.clear();
-            store.window_plane.resize(n * (n + 1) / 2, 0.0);
-            let mut block = vec![0.0; g * n];
-            for start in window.clone().step_by(g) {
-                for i in 0..n {
-                    for (s, &x) in self.series(i)[start..start + g].iter().enumerate() {
-                        block[s * n + i] = x;
+    /// The window plane of `window`, recomputed only when the window
+    /// differs from the memoized one: every pair starts at `0.0` and
+    /// each block of the window is transposed sample-major and added in
+    /// order by [`add_block_plane`].
+    fn plane(&self, window: &Range<usize>) -> RefMut<'_, [f64]> {
+        self.check_window(window);
+        let g = self.block;
+        assert!(
+            window.start.is_multiple_of(g) && window.end.is_multiple_of(g),
+            "window {}..{} is off the {g}-sample block grid",
+            window.start,
+            window.end
+        );
+        RefMut::map(self.plane.borrow_mut(), |plane| {
+            if plane.window.as_ref() != Some(window) {
+                let n = self.num_series;
+                plane.sums.clear();
+                plane.sums.resize(n * (n + 1) / 2, 0.0);
+                let mut block = vec![0.0; g * n];
+                for start in window.clone().step_by(g) {
+                    for i in 0..n {
+                        for (s, &x) in self.series(i)[start..start + g].iter().enumerate() {
+                            block[s * n + i] = x;
+                        }
                     }
+                    add_block_plane(&block, n, &mut plane.sums);
                 }
-                add_block_plane(&block, n, &mut store.window_plane);
+                plane.window = Some(window.clone());
             }
-            store.plane_window = Some(window.clone());
-        }
-        &store.window_plane
+            &mut plane.sums[..]
+        })
+    }
+
+    /// Series `i`'s values over `window`.
+    fn window_values(&self, i: usize, window: Range<usize>) -> &[f64] {
+        self.check_window(&window);
+        &self.series(i)[window]
     }
 
     fn check_window(&self, window: &Range<usize>) {
@@ -521,17 +440,6 @@ fn block_dot(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// Fills `row` with the `len + 1` product prefix sums of `a` and `b`.
-fn build_pair_row(a: &[f64], b: &[f64], len: usize, row: &mut Vec<f64>) {
-    row.reserve_exact(len + 1);
-    let mut acc = 0.0;
-    row.push(acc);
-    for (x, y) in a.iter().zip(b) {
-        acc += x * y;
-        row.push(acc);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,6 +501,7 @@ mod tests {
         assert!(day.window_variance(0, 2..14) >= 0.0);
     }
 
+    /// Both orderings of a pair read the same triangular plane entry.
     #[test]
     fn pair_rows_are_shared_across_orderings() {
         let series = fixtures(3, 10);
@@ -630,8 +539,7 @@ mod tests {
                 let day = DayCache::with_block_size(&series, block);
                 for blocks in [0..1, 2..3, 0..3, 1..3] {
                     let window = blocks.start * block..blocks.end * block;
-                    let store = &mut *day.pairs.borrow_mut();
-                    let plane = day.window_plane(store, &window);
+                    let plane = day.plane(&window);
                     assert_eq!(plane.len(), n * (n + 1) / 2);
                     for hi in 0..n {
                         for lo in 0..=hi {
@@ -698,6 +606,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "window 2..6 is off the 4-sample block grid")]
+    fn off_grid_window_panics() {
+        let day = DayCache::with_block_size(&fixtures(2, 8), 4);
+        let _ = day.window_covariance(0, 1, 2..6);
     }
 
     #[test]

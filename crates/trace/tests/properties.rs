@@ -81,28 +81,42 @@ proptest! {
         prop_assert!(stats::quantile(&v, lo) <= stats::quantile(&v, hi));
     }
 
-    /// The day cache's O(1) windowed moments must agree with the direct
-    /// `stats` computations on the copied sub-window for every random
-    /// window of a random day. Values are <= 100 and days are 64
-    /// samples, so prefix-sum cancellation stays far below the 1e-6
-    /// tolerance.
+    /// The day cache's windowed moments must agree with the direct
+    /// `stats` computations on the copied sub-window, for every random
+    /// block-aligned window of a random 64-sample day and a block size
+    /// drawn from 0, 1, the divisors of 64 and non-divisors (0 and the
+    /// non-divisors fall back to one-sample blocks). Means and
+    /// variances are the same two-pass code over the same values, so
+    /// they match bit for bit. Covariances sum uncentered block
+    /// products, so they match to rounding: with values <= 100 the
+    /// drift stays far below the 1e-6 tolerance.
     #[test]
     fn windowed_moments_match_direct_stats(
         a in finite_vec(64),
         b in finite_vec(64),
-        start in 0usize..60,
-        width in 2usize..32,
+        pick in 0usize..13,
+        start in 0usize..64,
+        width in 0usize..65,
     ) {
-        let end = (start + width).min(64);
+        let block = [0, 1, 2, 4, 8, 16, 32, 64, 3, 5, 7, 12, 48][pick];
+        let grid = if block > 0 && 64 % block == 0 { block } else { 1 };
+        let start = start / grid * grid;
+        let end = (start + width).min(64) / grid * grid;
         let series = [TimeSeries::from_values(a.clone()), TimeSeries::from_values(b.clone())];
-        let day = DayCache::new(&series);
+        let day = DayCache::with_block_size(&series, block);
         let wa = &a[start..end];
         let wb = &b[start..end];
-        prop_assert!((day.window_mean(0, start..end) - stats::mean(wa)).abs() < 1e-6);
-        prop_assert!((day.window_variance(1, start..end) - stats::variance(wb)).abs() < 1e-6);
+        prop_assert_eq!(day.window_mean(0, start..end).to_bits(), stats::mean(wa).to_bits());
+        prop_assert_eq!(
+            day.window_variance(1, start..end).to_bits(),
+            stats::variance(wb).to_bits()
+        );
         let direct = stats::covariance(wa, wb);
         let fast = day.window_covariance(0, 1, start..end);
-        prop_assert!((fast - direct).abs() < 1e-6, "cov {fast} vs {direct} on [{start}, {end})");
+        prop_assert!(
+            (fast - direct).abs() < 1e-6,
+            "cov {fast} vs {direct} on [{start}, {end}), block {block}"
+        );
         // covariance is symmetric through the triangular pair storage
         prop_assert!((day.window_covariance(1, 0, start..end) - fast).abs() == 0.0);
     }
